@@ -1,11 +1,13 @@
 """Kernel speedups: the fast engine vs. the reference ``np.add.at`` paths.
 
 Times every case in :mod:`repro.nn.kernel_bench` — conv2d forward/backward,
-the raw col2im scatter, split/unbind view gradients, a GRU step, and a full
-STGCN training step — under both engines in one process, prints the table,
-and (in ``full`` mode) asserts the speedup floor this perf overhaul claims:
-≥2x on the conv2d backward microbenchmark and ≥1.5x on the STGCN train
-step.  ``REPRO_BENCH_KERNELS=quick`` runs tiny shapes for a sanity pass
+the raw col2im scatter, split/unbind view gradients, a GRU step, a full
+STGCN training step, and Graph-WaveNet's ``F.einsum`` graph propagation
+against direct ``np.einsum`` calls — in one process, prints the table,
+and (in ``full`` mode) asserts the speedup floors: ≥2x on the conv2d
+backward microbenchmark, ≥1.5x on the STGCN train step, and ≥2x on the
+einsum graph convolution (a fall back to ``np.einsum``'s loop reads
+about 1x).  ``REPRO_BENCH_KERNELS=quick`` runs tiny shapes for a sanity pass
 without the threshold asserts (small-shape timings are noise-dominated).
 
 The recorded run behind ``BENCH_kernels.json`` at the repo root comes from
@@ -19,6 +21,7 @@ from repro.nn.kernel_bench import bench_kernels, render_timings
 SPEEDUP_FLOORS = {
     "conv2d_backward": 2.0,
     "stgcn_train_step": 1.5,
+    "einsum_graph_conv": 2.0,
 }
 
 

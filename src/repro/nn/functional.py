@@ -182,34 +182,29 @@ def where(condition, a: Tensor, b: Tensor) -> Tensor:
 
 
 def einsum(subscripts: str, a: Tensor, b: Tensor) -> Tensor:
-    """Two-operand einsum with autograd.
+    """Two-operand einsum with autograd, run as one BLAS GEMM.
 
-    The gradient w.r.t. each operand is itself an einsum with permuted
-    subscripts (``out,other->operand``).  This requires every index of an
-    operand to appear in the output or the other operand, and no repeated
-    indices within one operand — which holds for all graph-convolution
-    contractions used in this package.
+    The forward contraction and both gradients (``out,b->a`` and
+    ``out,a->b``) go through :func:`repro.nn.kernels.einsum`, which sorts
+    the indices into batch, contracted and free ones and runs a cached
+    ``transpose -> reshape -> matmul`` plan; contractions without a GEMM
+    (no contracted index longer than 1, or no free index on one side)
+    fall back to ``np.einsum``.  Every index of an operand must appear in
+    the output or the other operand, no index may repeat within an operand
+    or the output, and a shared index must have the same size in both
+    operands (no size-1 broadcasting, which would give a gradient of the
+    wrong shape); violations raise ``ValueError`` naming the index.
     """
     a = a if isinstance(a, Tensor) else Tensor(a)
     b = b if isinstance(b, Tensor) else Tensor(b)
-    if "..." in subscripts:
-        raise ValueError("ellipsis subscripts are not supported")
-    lhs, out_sub = subscripts.replace(" ", "").split("->")
-    a_sub, b_sub = lhs.split(",")
-    if len(set(a_sub)) != len(a_sub) or len(set(b_sub)) != len(b_sub):
-        raise ValueError("repeated indices within one operand are not supported")
-    for idx in a_sub:
-        if idx not in out_sub and idx not in b_sub:
-            raise ValueError(f"index {idx!r} of first operand is summed alone")
-    for idx in b_sub:
-        if idx not in out_sub and idx not in a_sub:
-            raise ValueError(f"index {idx!r} of second operand is summed alone")
-
-    out_data = np.einsum(subscripts, a.data, b.data)
+    # Validates the subscripts against both shapes before any work.
+    (a_sub, b_sub), out_sub, _ = _kernels.einsum_plan(subscripts, a.shape,
+                                                      b.shape)
+    out_data = _kernels.einsum(subscripts, a.data, b.data)
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(np.einsum(f"{out_sub},{b_sub}->{a_sub}", g, b.data))
-        b._accumulate(np.einsum(f"{out_sub},{a_sub}->{b_sub}", g, a.data))
+        a._accumulate(_kernels.einsum(f"{out_sub},{b_sub}->{a_sub}", g, b.data))
+        b._accumulate(_kernels.einsum(f"{out_sub},{a_sub}->{b_sub}", g, a.data))
 
     return Tensor._make(out_data, (a, b), backward, "einsum")
 

@@ -1,10 +1,11 @@
-"""Shared convolution kernel machinery: cached im2col and fast col2im.
+"""Shared kernel machinery: cached im2col, fast col2im, BLAS contractions.
 
 Every conv-based model in the zoo (STGCN, Graph-WaveNet, ASTGCN, STSGCN)
-funnels through :func:`repro.nn.functional.conv2d`, so the speed of the
-im2col gather and — above all — the col2im scatter in the backward pass
-sets the floor for every Table III-style cost comparison.  This module
-keeps that floor close to the numpy speed-of-light:
+funnels through :func:`repro.nn.functional.conv2d`, and every graph
+propagation in Graph-WaveNet, STG2Seq, ASTGCN and ST-MetaNet through
+:func:`repro.nn.functional.einsum`, so the speed of these kernels sets the
+floor for every Table III-style cost comparison.  This module keeps that
+floor close to the numpy speed-of-light:
 
 - :func:`col_indices` builds the im2col row/column index grids once per
   geometry ``(H, W, kernel, stride, dilation)`` and caches them (the grids
@@ -23,6 +24,12 @@ keeps that floor close to the numpy speed-of-light:
   :func:`conv_col_grad_contract` route the three conv contractions through
   BLAS (``matmul``/``tensordot``) instead of ``np.einsum``'s generic
   sum-of-products loops; the reference mode keeps the einsum paths.
+- :func:`einsum` runs a two-operand contraction as one batched GEMM
+  (``transpose -> reshape -> np.matmul -> reshape -> transpose``) from a
+  plan cached per ``(subscripts, shape_a, shape_b)``
+  (:func:`einsum_plan`).  Contractions without a GEMM — no contracted
+  index longer than 1, or no free index on one side — call ``np.einsum``.
+  The choice reads only the operand shapes; there is no reference mode.
 
 The :func:`use_reference_kernels` context switches the whole engine (conv
 scatter, index caching, basic-index gradients, ``unbind``/``split`` views)
@@ -35,6 +42,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +52,7 @@ __all__ = [
     "conv_forward_contract", "conv_weight_grad_contract",
     "conv_col_grad_contract",
     "use_reference_kernels", "reference_kernels_enabled",
+    "EinsumPlan", "einsum_plan", "einsum",
 ]
 
 # Taps beyond this count make one flat bincount cheaper than per-tap adds.
@@ -244,3 +253,109 @@ def conv_col_grad_contract(w_mat: np.ndarray,
     if _REFERENCE:
         return np.einsum("ok,bol->bkl", w_mat, g_mat)
     return np.matmul(w_mat.T, g_mat)
+
+
+# --------------------------------------------------------------------- #
+# two-operand einsum as one batched GEMM
+# --------------------------------------------------------------------- #
+class EinsumPlan(NamedTuple):
+    """How one ``(subscripts, shape_a, shape_b)`` contraction runs.
+
+    ``inputs``/``output`` are the parsed subscripts.  ``gemm`` is ``None``
+    when the contraction goes to ``np.einsum``; otherwise it holds
+    ``(perm_a, lhs_shape, perm_b, rhs_shape, mid_shape, perm_out)``:
+    operand ``a`` is transposed to ``(batch, free_a, contracted)`` and
+    reshaped to ``(B, M, K)``, operand ``b`` to ``(batch, contracted,
+    free_b)`` and ``(B, K, N)`` (no ``B`` axis when no index is batched);
+    the product is reshaped to ``mid_shape`` and transposed into the
+    output order.
+    """
+
+    inputs: tuple[str, str]
+    output: str
+    gemm: tuple | None
+
+
+def _validate(a_sub: str, b_sub: str, out_sub: str,
+              shape_a: tuple[int, ...], shape_b: tuple[int, ...]) -> None:
+    for name, sub, shape in (("first", a_sub, shape_a),
+                             ("second", b_sub, shape_b)):
+        if len(sub) != len(shape):
+            raise ValueError(f"{name} operand has {len(shape)} axes but "
+                             f"subscripts {sub!r} name {len(sub)}")
+        for idx in sub:
+            if sub.count(idx) > 1:
+                raise ValueError(f"index {idx!r} is repeated within the "
+                                 f"{name} operand")
+    for idx in a_sub:
+        if idx not in out_sub and idx not in b_sub:
+            raise ValueError(f"index {idx!r} of first operand is summed alone")
+    for idx in b_sub:
+        if idx not in out_sub and idx not in a_sub:
+            raise ValueError(f"index {idx!r} of second operand is summed alone")
+    for idx in out_sub:
+        if out_sub.count(idx) > 1:
+            raise ValueError(f"output index {idx!r} is repeated")
+        if idx not in a_sub and idx not in b_sub:
+            raise ValueError(f"output index {idx!r} appears in no operand")
+    size_b = dict(zip(b_sub, shape_b))
+    for idx, size in zip(a_sub, shape_a):
+        if idx in size_b and size_b[idx] != size:
+            raise ValueError(f"index {idx!r} has size {size} in the first "
+                             f"operand but {size_b[idx]} in the second")
+
+
+@functools.lru_cache(maxsize=256)
+def einsum_plan(subscripts: str, shape_a: tuple[int, ...],
+                shape_b: tuple[int, ...]) -> EinsumPlan:
+    """Validate a two-operand contraction and plan how it runs (cached).
+
+    Raises ``ValueError`` naming the offending index for ellipses, indices
+    repeated within an operand or in the output, an operand index summed
+    alone, an output index found in no operand, and a shared index whose
+    sizes differ (``np.einsum`` would broadcast a size-1 axis, which gives
+    wrong-shaped gradients).  The GEMM is planned only when at least one
+    contracted index is longer than 1 and each operand keeps at least one
+    free index; the rule reads only the shapes.
+    """
+    if "..." in subscripts:
+        raise ValueError("ellipsis subscripts are not supported")
+    lhs, out_sub = subscripts.replace(" ", "").split("->")
+    a_sub, b_sub = lhs.split(",")
+    _validate(a_sub, b_sub, out_sub, shape_a, shape_b)
+    sizes = {**dict(zip(a_sub, shape_a)), **dict(zip(b_sub, shape_b))}
+    batch = [i for i in out_sub if i in a_sub and i in b_sub]
+    free_a = [i for i in out_sub if i in a_sub and i not in b_sub]
+    free_b = [i for i in out_sub if i in b_sub and i not in a_sub]
+    contracted = [i for i in a_sub if i in b_sub and i not in out_sub]
+    gemm = None
+    if free_a and free_b and any(sizes[i] > 1 for i in contracted):
+        def size(indices):
+            return int(np.prod([sizes[i] for i in indices], dtype=np.int64))
+
+        # A plain 2-D GEMM when nothing is batched.
+        lead = (size(batch),) if batch else ()
+        perm_a = tuple(a_sub.index(i) for i in batch + free_a + contracted)
+        perm_b = tuple(b_sub.index(i) for i in batch + contracted + free_b)
+        middle = batch + free_a + free_b
+        gemm = (perm_a, lead + (size(free_a), size(contracted)),
+                perm_b, lead + (size(contracted), size(free_b)),
+                tuple(sizes[i] for i in middle),
+                tuple(middle.index(i) for i in out_sub))
+    return EinsumPlan((a_sub, b_sub), out_sub, gemm)
+
+
+def einsum(subscripts: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.einsum(subscripts, a, b)`` run as one BLAS GEMM where one exists.
+
+    See :func:`einsum_plan` for the validation and the GEMM/fallback rule.
+    The result may be a transposed view of a freshly allocated product; it
+    never aliases an operand.
+    """
+    gemm = einsum_plan(subscripts, a.shape, b.shape).gemm
+    if gemm is None:
+        return np.einsum(subscripts, a, b)
+    perm_a, lhs_shape, perm_b, rhs_shape, mid_shape, perm_out = gemm
+    product = np.matmul(a.transpose(perm_a).reshape(lhs_shape),
+                        b.transpose(perm_b).reshape(rhs_shape))
+    return product.reshape(mid_shape).transpose(perm_out)

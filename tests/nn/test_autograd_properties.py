@@ -1,11 +1,12 @@
 """Property-based tests (hypothesis) for autograd invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from repro.nn import Tensor, functional as F
+from repro.nn import Tensor, functional as F, kernels as K
 
 SETTINGS = dict(max_examples=40, deadline=None)
 
@@ -142,3 +143,95 @@ def test_detach_blocks_gradient(seed):
     z = y.detach() * 3 + x
     z.sum().backward()
     np.testing.assert_allclose(x.grad, np.ones(3))
+
+
+# --------------------------------------------------------------------- #
+# F.einsum == np.einsum: the GEMM plan and the np.einsum fallback
+# --------------------------------------------------------------------- #
+_FALLBACK_KINDS = ("unit_contracted", "no_contracted", "no_free_a",
+                   "no_free_b")
+
+
+@st.composite
+def einsum_cases(draw, gemm: bool):
+    """Two-operand subscripts mixing batch, contracted and free indices.
+
+    ``gemm=True`` draws contractions the GEMM plan must take (a contracted
+    index longer than 1, a free index on each side); ``gemm=False`` draws
+    one of the shapes that must fall back to ``np.einsum``.  Sizes include
+    1 and the index order within each operand and the output is shuffled.
+    """
+    letters = iter("abcdefghijklmnopqrstuvwxyz")
+
+    def group(min_len, max_len, min_size=1, max_size=3):
+        count = draw(st.integers(min_len, max_len))
+        return [(next(letters), draw(st.integers(min_size, max_size)))
+                for _ in range(count)]
+
+    batch = group(0, 2)
+    if gemm:
+        contracted = group(1, 1, 2, 4) + group(0, 1)
+        free_a, free_b = group(1, 2), group(1, 2)
+    else:
+        kind = draw(st.sampled_from(_FALLBACK_KINDS))
+        contracted = {"unit_contracted": lambda: group(1, 2, 1, 1),
+                      "no_contracted": lambda: []}.get(
+                          kind, lambda: group(1, 2))()
+        free_a = [] if kind == "no_free_a" else group(int(not contracted), 2)
+        free_b = [] if kind == "no_free_b" else group(int(not contracted), 2)
+    a_idx = draw(st.permutations(batch + free_a + contracted))
+    b_idx = draw(st.permutations(batch + contracted + free_b))
+    out_idx = draw(st.permutations(batch + free_a + free_b))
+
+    def sub(indices):
+        return "".join(name for name, _ in indices)
+
+    return (f"{sub(a_idx)},{sub(b_idx)}->{sub(out_idx)}",
+            tuple(size for _, size in a_idx),
+            tuple(size for _, size in b_idx))
+
+
+def _operand(rng, shape, layout):
+    """Random array of ``shape``, contiguous, transposed or sliced."""
+    if layout == "transposed":
+        return rng.normal(size=shape[::-1]).T
+    if layout == "sliced":
+        return rng.normal(size=shape[:-1] + (2 * shape[-1],))[..., ::2]
+    return rng.normal(size=shape)
+
+
+def _assert_close(actual, expected, bound):
+    # Summation order differs between BLAS and np.einsum; scale the
+    # absolute slack by the largest sum of |products| behind an entry.
+    np.testing.assert_allclose(actual, expected, rtol=1e-12,
+                               atol=1e-12 * (np.max(bound, initial=0) + 1))
+
+
+@pytest.mark.parametrize("gemm", [True, False], ids=["gemm", "fallback"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_einsum_matches_numpy_forward_and_gradients(gemm, data):
+    subscripts, shape_a, shape_b = data.draw(einsum_cases(gemm))
+    assert (K.einsum_plan(subscripts, shape_a, shape_b).gemm
+            is not None) is gemm
+    layouts = st.sampled_from(["contiguous", "transposed", "sliced"])
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
+    a = _operand(rng, shape_a, data.draw(layouts))
+    b = _operand(rng, shape_b, data.draw(layouts))
+
+    ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+    out = F.einsum(subscripts, ta, tb)
+    g = rng.normal(size=out.shape)
+    out.backward(g)
+
+    lhs, out_sub = subscripts.split("->")
+    a_sub, b_sub = lhs.split(",")
+    grad_a, grad_b = (f"{out_sub},{b_sub}->{a_sub}",
+                      f"{out_sub},{a_sub}->{b_sub}")
+    _assert_close(out.data, np.einsum(subscripts, a, b),
+                  np.einsum(subscripts, abs(a), abs(b)))
+    _assert_close(ta.grad, np.einsum(grad_a, g, b),
+                  np.einsum(grad_a, abs(g), abs(b)))
+    _assert_close(tb.grad, np.einsum(grad_b, g, a),
+                  np.einsum(grad_b, abs(g), abs(a)))
+    assert ta.grad.shape == a.shape and tb.grad.shape == b.shape

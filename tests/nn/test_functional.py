@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, functional as F
+from repro.nn import Tensor, functional as F, kernels as K
+from repro.nn.gradcheck import check_gradients
 
 from ..conftest import numerical_gradient
 
@@ -161,6 +162,87 @@ class TestEinsum:
         with pytest.raises(ValueError):
             F.einsum("ij,kl->il", Tensor(np.zeros((2, 3))),
                      Tensor(np.zeros((4, 5))))
+
+    def test_rejects_broadcast_shared_index(self):
+        # np.einsum would broadcast the size-1 batch axis and the backward
+        # would store a (5, 2, 3) gradient on the (1, 2, 3) operand.
+        a = Tensor(np.ones((1, 2, 3)), requires_grad=True)
+        b = Tensor(np.ones((5, 3, 4)), requires_grad=True)
+        with pytest.raises(ValueError, match="index 'b' has size 1"):
+            F.einsum("bij,bjk->bik", a, b)
+
+    def test_rejects_repeated_output_index(self):
+        with pytest.raises(ValueError, match="output index 'i' is repeated"):
+            F.einsum("ij,jk->iik", Tensor(np.zeros((2, 3))),
+                     Tensor(np.zeros((3, 4))))
+
+    def test_rejects_output_index_in_no_operand(self):
+        with pytest.raises(ValueError,
+                           match="output index 'z' appears in no operand"):
+            F.einsum("ij,jk->ikz", Tensor(np.zeros((2, 3))),
+                     Tensor(np.zeros((3, 4))))
+
+    def test_rejects_axis_count_mismatch(self):
+        with pytest.raises(ValueError, match="has 3 axes"):
+            F.einsum("ij,jk->ik", Tensor(np.zeros((2, 3, 1))),
+                     Tensor(np.zeros((3, 4))))
+
+
+#: Every two-operand contraction the paper models run, at small sizes.
+MODEL_SUBSCRIPTS = [
+    pytest.param("nm,bcmt->bcnt", (3, 3), (2, 2, 3, 2), id="graph-wavenet"),
+    pytest.param("nm,btmc->btnc", (3, 3), (2, 2, 3, 2), id="stg2seq-gcn"),
+    pytest.param("bnlc,qc->bnql", (2, 3, 2, 2), (3, 2), id="stg2seq-attn"),
+    pytest.param("bnm,btmf->btnf", (2, 3, 3), (2, 2, 3, 2),
+                 id="astgcn-cheb"),
+    pytest.param("bnft,btu->bnfu", (2, 3, 2, 2), (2, 2, 3),
+                 id="astgcn-temporal"),
+    pytest.param("f,bnft->bnt", (2,), (2, 3, 2, 2), id="astgcn-score"),
+    pytest.param("bni,nio->bno", (2, 3, 2), (3, 2, 2), id="st-metanet"),
+]
+
+
+class TestEinsumKernel:
+    @pytest.mark.parametrize("subscripts, shape_a, shape_b",
+                             MODEL_SUBSCRIPTS)
+    def test_gradcheck_model_subscripts(self, subscripts, shape_a, shape_b,
+                                        rng):
+        assert check_gradients(lambda a, b: F.einsum(subscripts, a, b),
+                               [rng.normal(size=shape_a),
+                                rng.normal(size=shape_b)])
+
+    @pytest.mark.parametrize("subscripts, shape_a, shape_b, gemm", [
+        ("nm,bcmt->bcnt", (58, 58), (2, 3, 58, 4), True),
+        ("bni,nio->bno", (2, 5, 2), (5, 2, 3), True),
+        # size-1 contracted index: nothing for a GEMM to sum over
+        ("bni,nio->bno", (2, 5, 1), (5, 1, 3), False),
+        # no free index on the first operand
+        ("f,bnft->bnt", (4,), (2, 3, 4, 5), False),
+        # no contracted index at all (outer product gradient)
+        ("bnt,f->bnft", (2, 3, 5), (4,), False),
+        ("ij,ij->", (3, 4), (3, 4), False),
+    ])
+    def test_gemm_rule_reads_shapes(self, subscripts, shape_a, shape_b,
+                                    gemm):
+        plan = K.einsum_plan(subscripts, shape_a, shape_b)
+        assert (plan.gemm is not None) is gemm
+
+    def test_plan_is_cached_per_shape(self, rng):
+        K.einsum_plan.cache_clear()
+        a, b = rng.normal(size=(4, 4)), rng.normal(size=(2, 3, 4, 5))
+        K.einsum("nm,bcmt->bcnt", a, b)
+        K.einsum("nm,bcmt->bcnt", a, b)
+        info = K.einsum_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        K.einsum("nm,bcmt->bcnt", a, rng.normal(size=(2, 3, 4, 6)))
+        assert K.einsum_plan.cache_info().misses == 2
+
+    def test_matches_numpy_on_non_contiguous_inputs(self, rng):
+        a = rng.normal(size=(6, 6))[::2, 1::2]                 # sliced
+        b = rng.normal(size=(4, 3, 2, 3)).transpose(2, 1, 3, 0)  # (2,3,3,4)
+        out = K.einsum("nm,bcmt->bcnt", a, b)
+        np.testing.assert_allclose(out, np.einsum("nm,bcmt->bcnt", a, b),
+                                   rtol=1e-12, atol=1e-12)
 
 
 class TestDropout:

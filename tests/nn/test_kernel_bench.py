@@ -17,7 +17,8 @@ from repro.nn.kernel_bench import (BENCH_MODES, KernelTiming, bench_kernels,
                                    write_bench_json)
 from repro.obs import EventBus, MemorySink
 
-SMOKE_CASES = ["conv2d_backward", "col2im", "split_backward"]
+SMOKE_CASES = ["conv2d_backward", "col2im", "split_backward",
+               "einsum_graph_conv"]
 
 
 @pytest.fixture(scope="module")
