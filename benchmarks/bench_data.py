@@ -1,6 +1,6 @@
 """Data-pipeline speedups: lazy windows + the content-addressed cache.
 
-Times every case in :mod:`repro.datasets.data_bench` — cold vs. cached
+Times every case in :mod:`repro.bench.data` — cold vs. cached
 ``load_dataset``, eager vs. lazy window construction, a full shuffled
 training epoch under both pipelines, and tracemalloc peak memory of
 building + iterating the dataset — in one process.  In ``full`` mode
@@ -8,7 +8,7 @@ building + iterating the dataset — in one process.  In ``full`` mode
 hits ≥5x faster than cold builds, lazy view construction ≥5x faster than
 eager materialisation, lazy peak memory ≥4x below eager (measured and at
 analytic paper scale), and lazy epoch throughput within 2x of eager.
-``REPRO_BENCH_DATA=quick`` runs ci-scale worlds for a sanity pass without
+``REPRO_BENCH_MODE=quick`` runs ci-scale worlds for a sanity pass without
 the floors (tiny-world timings are noise-dominated).
 
 The recorded run behind ``BENCH_data.json`` at the repo root comes from
@@ -16,8 +16,7 @@ the same suite via ``python -m repro bench data --mode full --json
 BENCH_data.json``.
 """
 
-from repro.datasets.data_bench import bench_data
-from repro.nn.kernel_bench import render_timings
+from repro.bench import render_timings, run
 
 #: Acceptance floors (full mode only): case name -> minimum speedup.
 SPEEDUP_FLOORS = {
@@ -34,11 +33,9 @@ EPOCH_SLOWDOWN_CEILING = 2.0
 MEMORY_RATIO_FLOOR = 4.0
 
 
-def test_data_pipeline_speedups(benchmark, data_bench_mode, bench_check):
-    def run():
-        return bench_data(mode=data_bench_mode)
-
-    timings = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_data_pipeline_speedups(benchmark, bench_mode, bench_check):
+    timings = benchmark.pedantic(run, args=("data", bench_mode),
+                                 rounds=1, iterations=1)
     print()
     print(render_timings(timings))
 
@@ -47,7 +44,7 @@ def test_data_pipeline_speedups(benchmark, data_bench_mode, bench_check):
         assert timing.reference_seconds > 0 and timing.fast_seconds > 0
     memory = by_name["resident_memory"].meta
     assert memory["eager_peak_bytes"] > memory["lazy_peak_bytes"]
-    if data_bench_mode == "full":
+    if bench_mode == "full":
         for name, floor in SPEEDUP_FLOORS.items():
             assert by_name[name].speedup >= floor, (
                 f"{name}: {by_name[name].speedup:.2f}x < {floor}x floor")
@@ -61,4 +58,4 @@ def test_data_pipeline_speedups(benchmark, data_bench_mode, bench_check):
         assert memory["paper_memory_ratio"] >= MEMORY_RATIO_FLOOR, (
             f"paper-scale memory ratio {memory['paper_memory_ratio']:.2f}x "
             f"< {MEMORY_RATIO_FLOOR}x floor")
-    bench_check("data", timings, data_bench_mode)
+    bench_check("data", timings, bench_mode)

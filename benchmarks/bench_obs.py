@@ -1,12 +1,12 @@
 """Tracing-overhead budget: observability must be ~free when unobserved.
 
-Times every case in :mod:`repro.obs.obs_bench` — a full traced-but-
+Times every case in :mod:`repro.bench.obs` — a full traced-but-
 unobserved ``Engine.fit`` vs. the same fit with spans force-disabled,
 the ``span`` context manager recorded vs. no-op, and metrics-registry
 hot loops — in one process.  In ``full`` mode it asserts the contract
 the span tracing PR claims: tracing an unobserved training step costs
 at most :data:`OVERHEAD_BUDGET_PCT` (2%), and recording real spans into
-a sink stays cheap enough for per-batch use.  ``REPRO_BENCH_OBS=quick``
+a sink stays cheap enough for per-batch use.  ``REPRO_BENCH_MODE=quick``
 runs a smaller workload for a sanity pass without the budget assert
 (sub-200ms fits are noise-dominated).
 
@@ -16,20 +16,17 @@ BENCH_obs.json``; ``REPRO_BENCH_CHECK=1`` (or ``repro bench check``)
 gates fresh timings against it.
 """
 
-from repro.nn.kernel_bench import render_timings
-from repro.obs.gate import OVERHEAD_BUDGET_PCT
-from repro.obs.obs_bench import bench_obs
+from repro.bench import render_timings, run
+from repro.bench.gate import OVERHEAD_BUDGET_PCT
 
 #: Ceiling (full mode only) on recorded-span cost: even with a live
 #: MemorySink every span must stay under this many microseconds.
 RECORDED_SPAN_CEILING_US = 50.0
 
 
-def test_observability_overhead(benchmark, obs_bench_mode, bench_check):
-    def run():
-        return bench_obs(mode=obs_bench_mode)
-
-    timings = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_observability_overhead(benchmark, bench_mode, bench_check):
+    timings = benchmark.pedantic(run, args=("obs", bench_mode),
+                                 rounds=1, iterations=1)
     print()
     print(render_timings(timings))
 
@@ -38,7 +35,7 @@ def test_observability_overhead(benchmark, obs_bench_mode, bench_check):
         assert timing.reference_seconds > 0 and timing.fast_seconds > 0
     spans = by_name["span_noop_vs_recorded"].meta
     assert spans["noop_ns_per_span"] < spans["recorded_ns_per_span"]
-    if obs_bench_mode == "full":
+    if bench_mode == "full":
         overhead = by_name["traced_train_step"].meta["overhead_pct"]
         assert overhead <= OVERHEAD_BUDGET_PCT, (
             f"tracing an unobserved fit costs {overhead:.2f}% "
@@ -46,4 +43,4 @@ def test_observability_overhead(benchmark, obs_bench_mode, bench_check):
         assert spans["recorded_ns_per_span"] <= RECORDED_SPAN_CEILING_US * 1e3, (
             f"recorded span costs {spans['recorded_ns_per_span']:.0f}ns "
             f"(> {RECORDED_SPAN_CEILING_US}us ceiling)")
-    bench_check("obs", timings, obs_bench_mode)
+    bench_check("obs", timings, bench_mode)

@@ -17,21 +17,14 @@ Environment knobs (all optional):
 - ``REPRO_BENCH_TRACE``   directory for per-run telemetry: every trained
   seed writes a JSONL event trace and a ``.run.json`` manifest next to the
   benchmark's JSON results (see ``docs/observability.md``)
-- ``REPRO_BENCH_KERNELS`` workload preset for the kernel suite in
-  ``bench_kernels.py`` (default ``full``; ``quick`` for a fast sanity
-  pass — speedup thresholds are only asserted in ``full`` mode)
-- ``REPRO_BENCH_OPTIM``   workload preset for the optimizer suite in
-  ``bench_optim.py`` (default ``full``; same quick/full semantics as the
-  kernel suite)
-- ``REPRO_BENCH_DATA``    workload preset for the data-pipeline suite in
-  ``bench_data.py`` (default ``full``; same quick/full semantics — the
-  cache-hit and memory floors are only asserted in ``full`` mode)
-- ``REPRO_BENCH_OBS``     workload preset for the observability suite in
-  ``bench_obs.py`` (default ``full``; the ≤2% tracing-overhead budget is
-  only asserted in ``full`` mode)
+- ``REPRO_BENCH_MODE``    workload preset for the four ratio suites in
+  ``bench_{kernels,optim,data,obs}.py`` (default ``full``; ``quick`` for
+  a fast sanity pass — speedup floors, memory floors and the ≤2%
+  tracing-overhead budget are only asserted in ``full`` mode)
 - ``REPRO_BENCH_CHECK``   when set to ``1``/``true``, every suite above
   additionally gates its fresh timings against the committed
-  ``BENCH_<suite>.json`` baseline via :func:`repro.obs.check_records`
+  ``BENCH_<suite>.json`` baseline via
+  :func:`repro.bench.gate.check_records`
   (off by default; only meaningful in ``full`` mode — other modes skip
   the comparison because workloads differ)
 """
@@ -51,10 +44,7 @@ BENCH_BATCHES = int(os.environ.get("REPRO_BENCH_BATCHES", "12"))
 BENCH_REPEATS = int(os.environ.get("REPRO_BENCH_REPEATS", "2"))
 BENCH_CACHE = os.environ.get("REPRO_BENCH_CACHE") or None
 BENCH_TRACE = os.environ.get("REPRO_BENCH_TRACE") or None
-BENCH_KERNELS_MODE = os.environ.get("REPRO_BENCH_KERNELS", "full")
-BENCH_OPTIM_MODE = os.environ.get("REPRO_BENCH_OPTIM", "full")
-BENCH_DATA_MODE = os.environ.get("REPRO_BENCH_DATA", "full")
-BENCH_OBS_MODE = os.environ.get("REPRO_BENCH_OBS", "full")
+BENCH_MODE = os.environ.get("REPRO_BENCH_MODE", "full")
 BENCH_CHECK = os.environ.get("REPRO_BENCH_CHECK", "").lower() in (
     "1", "true", "yes", "on")
 
@@ -71,51 +61,17 @@ def matrix():
 
 
 @pytest.fixture(scope="session")
-def kernel_bench_mode():
-    """Workload preset for the kernel suite (``REPRO_BENCH_KERNELS``)."""
-    from repro.nn.kernel_bench import BENCH_MODES
+def bench_mode():
+    """Workload preset for the ratio suites (``REPRO_BENCH_MODE``)."""
+    from repro.bench import SUITES
 
-    if BENCH_KERNELS_MODE not in BENCH_MODES:
-        raise ValueError(
-            f"REPRO_BENCH_KERNELS={BENCH_KERNELS_MODE!r} is not a known "
-            f"mode; expected one of {sorted(BENCH_MODES)}")
-    return BENCH_KERNELS_MODE
-
-
-@pytest.fixture(scope="session")
-def optim_bench_mode():
-    """Workload preset for the optimizer suite (``REPRO_BENCH_OPTIM``)."""
-    from repro.nn.optim_bench import OPTIM_BENCH_MODES
-
-    if BENCH_OPTIM_MODE not in OPTIM_BENCH_MODES:
-        raise ValueError(
-            f"REPRO_BENCH_OPTIM={BENCH_OPTIM_MODE!r} is not a known "
-            f"mode; expected one of {sorted(OPTIM_BENCH_MODES)}")
-    return BENCH_OPTIM_MODE
-
-
-@pytest.fixture(scope="session")
-def data_bench_mode():
-    """Workload preset for the data-pipeline suite (``REPRO_BENCH_DATA``)."""
-    from repro.datasets.data_bench import DATA_BENCH_MODES
-
-    if BENCH_DATA_MODE not in DATA_BENCH_MODES:
-        raise ValueError(
-            f"REPRO_BENCH_DATA={BENCH_DATA_MODE!r} is not a known "
-            f"mode; expected one of {sorted(DATA_BENCH_MODES)}")
-    return BENCH_DATA_MODE
-
-
-@pytest.fixture(scope="session")
-def obs_bench_mode():
-    """Workload preset for the observability suite (``REPRO_BENCH_OBS``)."""
-    from repro.obs.obs_bench import OBS_BENCH_MODES
-
-    if BENCH_OBS_MODE not in OBS_BENCH_MODES:
-        raise ValueError(
-            f"REPRO_BENCH_OBS={BENCH_OBS_MODE!r} is not a known "
-            f"mode; expected one of {sorted(OBS_BENCH_MODES)}")
-    return BENCH_OBS_MODE
+    for suite in SUITES.values():
+        if BENCH_MODE not in suite.modes:
+            raise ValueError(
+                f"REPRO_BENCH_MODE={BENCH_MODE!r} is not a known mode of "
+                f"the {suite.name} suite; expected one of "
+                f"{sorted(suite.modes)}")
+    return BENCH_MODE
 
 
 @pytest.fixture(scope="session")
@@ -124,14 +80,14 @@ def bench_check():
 
     Returns ``check(suite, timings, mode)``; when ``REPRO_BENCH_CHECK``
     is on and ``BENCH_<suite>.json`` exists at the repo root, the fresh
-    timings are compared via :func:`repro.obs.check_records` and the
-    test fails on any regression (mode mismatches are reported as
+    timings are compared via :func:`repro.bench.gate.check_records` and
+    the test fails on any regression (mode mismatches are reported as
     skipped, never failed).  A no-op when the knob is off.
     """
     from pathlib import Path
 
-    from repro.nn.kernel_bench import timings_to_record
-    from repro.obs.gate import check_records, load_bench_record
+    from repro.bench import load_bench_record, timings_to_record
+    from repro.bench.gate import check_records
 
     root = Path(__file__).resolve().parent.parent
 

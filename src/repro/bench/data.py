@@ -9,8 +9,7 @@ process:
 - ``dataset_load``     cold ``load_dataset`` (simulate + persist) vs. a
   content-addressed cache hit (archive read + lazy windows)
 - ``window_build``     eager window materialisation
-  (:func:`~repro.datasets.use_reference_pipeline`) vs. lazy view-backed
-  construction
+  (``make_windows(...).materialize()``) vs. lazy view-backed construction
 - ``train_epoch``      one shuffled ``DataLoader`` epoch over the train
   split: eager fancy-indexing vs. on-demand gathers (meta records
   batches/sec under both pipelines)
@@ -18,8 +17,7 @@ process:
   dataset, eager vs. lazy; meta records the measured peaks, their ratio,
   and the analytic eager/lazy byte estimate at paper scale
 
-Every case emits a :class:`repro.obs.DataBench` event; the CLI front-end
-is ``python -m repro bench data`` (``--json`` records
+The CLI front-end is ``python -m repro bench data`` (``--json`` records
 ``BENCH_data.json``).  See ``docs/data.md``.
 """
 
@@ -33,33 +31,21 @@ import tracemalloc
 
 import numpy as np
 
-from ..obs.events import DataBench, EventBus, get_bus
-from .cache import DatasetCache
-from .catalog import DATASETS, _scaled_size, load_dataset
-from .loader import DataLoader
-from .windows import WindowConfig, make_windows, use_reference_pipeline
+from ..datasets.cache import DatasetCache
+from ..datasets.catalog import DATASETS, _scaled_size, load_dataset
+from ..datasets.loader import DataLoader
+from ..datasets.windows import WindowConfig, make_windows
+from .harness import Suite, best_of
 
-__all__ = ["DATA_BENCH_MODES", "bench_data", "estimate_dataset_nbytes"]
+__all__ = ["SUITE", "estimate_dataset_nbytes"]
 
 #: Per-mode workloads.  ``quick`` keeps the suite under a few seconds (the
 #: tier-1 smoke test runs it); ``full`` is the recorded configuration
 #: behind ``BENCH_data.json`` and the one with asserted floors.
-DATA_BENCH_MODES: dict[str, dict] = {
+MODES: dict[str, dict] = {
     "quick": dict(repeats=2, dataset="metr-la", scale="ci", batch_size=32),
     "full": dict(repeats=3, dataset="metr-la", scale="bench", batch_size=32),
 }
-
-
-def _best_of(step, repeats: int, warmup: bool = True) -> float:
-    """Minimum wall time of ``step`` over ``repeats`` runs."""
-    if warmup:
-        step()
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        step()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 @contextlib.contextmanager
@@ -101,7 +87,7 @@ def estimate_dataset_nbytes(num_nodes: int, num_steps: int,
 # --------------------------------------------------------------------- #
 # cases
 # --------------------------------------------------------------------- #
-def _case_dataset_load(sizes: dict):
+def _case_dataset_load(sizes: dict, rng: np.random.Generator):
     name, scale = sizes["dataset"], sizes["scale"]
 
     with _scoped_cache_dir() as store:
@@ -109,33 +95,32 @@ def _case_dataset_load(sizes: dict):
             store.clear()
             load_dataset(name, scale=scale, cache=True)
 
-        cold_seconds = _best_of(cold, sizes["repeats"], warmup=False)
+        cold_seconds = best_of(cold, sizes["repeats"], warmup=False)
         load_dataset(name, scale=scale, cache=True)    # populate the entry
 
         def warm():
             load_dataset(name, scale=scale, cache=True)
 
-        warm_seconds = _best_of(warm, sizes["repeats"])
+        warm_seconds = best_of(warm, sizes["repeats"])
         entry_bytes = sum(e.size_bytes for e in store.entries())
 
     meta = {"dataset": name, "scale": scale, "entry_bytes": entry_bytes}
     return cold_seconds, warm_seconds, meta
 
 
-def _case_window_build(sizes: dict):
+def _case_window_build(sizes: dict, rng: np.random.Generator):
     data = load_dataset(sizes["dataset"], scale=sizes["scale"], cache=False)
     series = data.supervised.series
     time_of_day = data.simulation.time_of_day
 
     def eager():
-        with use_reference_pipeline():
-            make_windows(series, time_of_day)
+        make_windows(series, time_of_day).materialize()
 
     def lazy():
         make_windows(series, time_of_day)
 
-    eager_seconds = _best_of(eager, sizes["repeats"])
-    lazy_seconds = _best_of(lazy, sizes["repeats"])
+    eager_seconds = best_of(eager, sizes["repeats"])
+    lazy_seconds = best_of(lazy, sizes["repeats"])
     meta = {"dataset": sizes["dataset"], "scale": sizes["scale"],
             "num_steps": len(series), "num_nodes": series.shape[1]}
     return eager_seconds, lazy_seconds, meta
@@ -150,20 +135,19 @@ def _epoch(split, scaler, batch_size: int) -> int:
     return batches
 
 
-def _case_train_epoch(sizes: dict):
+def _case_train_epoch(sizes: dict, rng: np.random.Generator):
     data = load_dataset(sizes["dataset"], scale=sizes["scale"], cache=False)
     scaler = data.supervised.scaler
     lazy_split = data.supervised.train
-    with use_reference_pipeline():
-        eager = make_windows(data.supervised.series,
-                             data.simulation.time_of_day)
+    eager = make_windows(data.supervised.series,
+                         data.simulation.time_of_day).materialize()
     eager_split = eager.train
     batch_size = sizes["batch_size"]
 
-    eager_seconds = _best_of(
+    eager_seconds = best_of(
         lambda: _epoch(eager_split, eager.scaler, batch_size),
         sizes["repeats"])
-    lazy_seconds = _best_of(
+    lazy_seconds = best_of(
         lambda: _epoch(lazy_split, scaler, batch_size), sizes["repeats"])
     batches = len(DataLoader(lazy_split, batch_size=batch_size))
     meta = {"dataset": sizes["dataset"], "scale": sizes["scale"],
@@ -181,11 +165,9 @@ def _traced_pipeline(data, batch_size: int, eager: bool
     time_of_day = data.simulation.time_of_day
     tracemalloc.start()
     start = time.perf_counter()
+    supervised = make_windows(series, time_of_day)
     if eager:
-        with use_reference_pipeline():
-            supervised = make_windows(series, time_of_day)
-    else:
-        supervised = make_windows(series, time_of_day)
+        supervised.materialize()
     _epoch(supervised.train, supervised.scaler, batch_size)
     elapsed = time.perf_counter() - start
     _, peak = tracemalloc.get_traced_memory()
@@ -193,7 +175,7 @@ def _traced_pipeline(data, batch_size: int, eager: bool
     return elapsed, peak
 
 
-def _case_resident_memory(sizes: dict):
+def _case_resident_memory(sizes: dict, rng: np.random.Generator):
     data = load_dataset(sizes["dataset"], scale=sizes["scale"], cache=False)
     batch_size = sizes["batch_size"]
     eager_seconds, eager_peak = _traced_pipeline(data, batch_size, eager=True)
@@ -215,44 +197,17 @@ def _case_resident_memory(sizes: dict):
     return eager_seconds, lazy_seconds, meta
 
 
-_CASES = [
-    ("dataset_load", _case_dataset_load),
-    ("window_build", _case_window_build),
-    ("train_epoch", _case_train_epoch),
-    ("resident_memory", _case_resident_memory),
-]
-
-
-def bench_data(mode: str = "quick", bus: EventBus | None = None,
-               cases: list[str] | None = None):
-    """Run the data-pipeline suite; returns per-case timings.
-
-    ``mode`` selects the workload (:data:`DATA_BENCH_MODES`).  Reference
-    timings come from the eager pipeline / cold loads, fast timings from
-    the lazy pipeline / cache hits; every case emits a
-    :class:`repro.obs.DataBench` event on ``bus`` (the ambient bus when
-    None).  ``cases`` restricts the run to a subset of case names.
-    """
-    from ..nn.kernel_bench import KernelTiming
-
-    if mode not in DATA_BENCH_MODES:
-        raise ValueError(f"unknown bench mode {mode!r}; "
-                         f"expected one of {sorted(DATA_BENCH_MODES)}")
-    sizes = DATA_BENCH_MODES[mode]
-    bus = bus if bus is not None else get_bus()
-    selected = _CASES if cases is None else [
-        (name, make) for name, make in _CASES if name in set(cases)]
-    if cases is not None and len(selected) != len(set(cases)):
-        known = {name for name, _ in _CASES}
-        raise ValueError(f"unknown bench case(s) {sorted(set(cases) - known)}")
-
-    results = []
-    for name, make in selected:
-        reference, fast, meta = make(dict(sizes))
-        timing = KernelTiming(name=name, reference_seconds=reference,
-                              fast_seconds=fast, meta=meta)
-        bus.emit(DataBench(name=name, mode=mode, reference_seconds=reference,
-                           fast_seconds=fast, speedup=timing.speedup,
-                           meta=meta))
-        results.append(timing)
-    return results
+SUITE = Suite(
+    name="data",
+    modes=MODES,
+    cases={
+        "dataset_load": _case_dataset_load,
+        "window_build": _case_window_build,
+        "train_epoch": _case_train_epoch,
+        "resident_memory": _case_resident_memory,
+    },
+    banner=("Data pipeline benchmark suite (mode={mode}) — "
+            "eager windows / cold loads vs lazy gathers / cache hits"),
+    help=("time the lazy window pipeline and the dataset cache against "
+          "eager builds and cold loads"),
+)

@@ -20,15 +20,16 @@ Entry points: ``repro bench check`` on the CLI, the
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from . import SUITES, run
+from .harness import load_bench_record, timings_to_record
+
 __all__ = [
-    "DEFAULT_TOLERANCE", "OVERHEAD_BUDGET_PCT", "BENCH_SUITES",
-    "GateFinding", "GateReport", "load_bench_record", "find_baselines",
-    "check_records", "run_suite", "run_and_check",
+    "DEFAULT_TOLERANCE", "OVERHEAD_BUDGET_PCT", "GateFinding", "GateReport",
+    "find_baselines", "check_records", "run_and_check",
 ]
 
 #: Allowed relative decay of a case's speedup before the gate fails.
@@ -36,9 +37,6 @@ DEFAULT_TOLERANCE = 0.25
 
 #: Absolute ceiling (percent) for tracing overhead cases.
 OVERHEAD_BUDGET_PCT = 2.0
-
-#: Suites the gate knows how to (re-)run, in canonical order.
-BENCH_SUITES = ("kernels", "optim", "data", "obs")
 
 
 @dataclass
@@ -99,26 +97,16 @@ class GateReport:
         return "\n".join(lines)
 
 
-def load_bench_record(path: str | Path) -> dict[str, Any]:
-    """Load and shape-check one ``BENCH_*.json`` record."""
-    path = Path(path)
-    try:
-        record = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"cannot read bench record {path}: {exc}") from exc
-    for key in ("suite", "mode", "timings"):
-        if key not in record:
-            raise ValueError(f"bench record {path} missing key {key!r}")
-    if not isinstance(record["timings"], list):
-        raise ValueError(f"bench record {path}: 'timings' must be a list")
-    return record
-
-
 def find_baselines(root: str | Path = ".") -> dict[str, Path]:
     """Map suite name → committed ``BENCH_<suite>.json`` under ``root``."""
     root = Path(root)
-    return {suite: path for suite in BENCH_SUITES
+    return {suite: path for suite in SUITES
             if (path := root / f"BENCH_{suite}.json").exists()}
+
+
+def _check_tolerance(tolerance: float) -> None:
+    if not 0.0 <= tolerance < 1.0:
+        raise ValueError(f"tolerance must be in [0, 1), got {tolerance}")
 
 
 def _case_finding(suite: str, name: str, base: dict, cur: dict,
@@ -157,7 +145,10 @@ def check_records(current: dict[str, Any], baseline: dict[str, Any], *,
     from the current run fails (coverage loss); a new current-only case
     is informational.  Records from different modes measure different
     geometries, so the comparison is skipped rather than judged.
+    ``tolerance`` must lie in ``[0, 1)``: 1 or more would pass any
+    slowdown, a negative value would fail identical records.
     """
+    _check_tolerance(tolerance)
     suite = str(baseline.get("suite", "?"))
     mode = str(baseline.get("mode", "?"))
     report = GateReport(suite=suite, mode=mode, tolerance=tolerance)
@@ -190,28 +181,6 @@ def check_records(current: dict[str, Any], baseline: dict[str, Any], *,
     return report
 
 
-def run_suite(suite: str, mode: str, bus=None) -> list:
-    """Run one bench suite fresh; returns its ``KernelTiming`` list.
-
-    Imports lazily so the gate module stays importable without pulling
-    the whole model stack in.
-    """
-    if suite == "kernels":
-        from ..nn.kernel_bench import bench_kernels
-        return bench_kernels(mode=mode, bus=bus)
-    if suite == "optim":
-        from ..nn.optim_bench import bench_optim
-        return bench_optim(mode=mode, bus=bus)
-    if suite == "data":
-        from ..datasets.data_bench import bench_data
-        return bench_data(mode=mode, bus=bus)
-    if suite == "obs":
-        from .obs_bench import bench_obs
-        return bench_obs(mode=mode, bus=bus)
-    raise ValueError(f"unknown bench suite {suite!r}; "
-                     f"expected one of {BENCH_SUITES}")
-
-
 def run_and_check(suite: str, baseline_path: str | Path, *,
                   mode: str | None = None,
                   tolerance: float = DEFAULT_TOLERANCE,
@@ -221,10 +190,9 @@ def run_and_check(suite: str, baseline_path: str | Path, *,
     ``mode`` defaults to the baseline's recorded mode so the comparison
     is apples-to-apples.
     """
-    from ..nn.kernel_bench import timings_to_record
-
+    _check_tolerance(tolerance)          # before minutes of suite run
     baseline = load_bench_record(baseline_path)
     mode = mode if mode is not None else str(baseline["mode"])
-    timings = run_suite(suite, mode, bus=bus)
+    timings = run(suite, mode, bus=bus)
     current = timings_to_record(timings, mode, suite=suite)
     return check_records(current, baseline, tolerance=tolerance)

@@ -25,33 +25,27 @@ Cases
   direct ``np.einsum`` calls (the case brings its own reference step; no
   engine switch)
 
-Every case emits a :class:`repro.obs.KernelBench` event on the bus, so
-timings flow through the same telemetry pipeline as training runs; the CLI
-front-end is ``python -m repro bench kernels`` (use ``--json`` to record
-``BENCH_kernels.json``).  See ``docs/performance.md``.
+Every case times the reference engine first, then the fast one, each
+best-of ``repeats`` after one warm-up.  The CLI front-end is ``python -m
+repro bench kernels`` (use ``--json`` to record ``BENCH_kernels.json``).
+See ``docs/performance.md``.
 """
 
 from __future__ import annotations
 
-import json
-import time
-from dataclasses import dataclass, field
-from pathlib import Path
-
 import numpy as np
 
-from ..obs.events import EventBus, KernelBench, get_bus
-from . import functional as F
-from . import kernels as K
-from .tensor import Tensor
+from ..nn import functional as F
+from ..nn import kernels as K
+from ..nn.tensor import Tensor
+from .harness import Suite, best_of
 
-__all__ = ["KernelTiming", "bench_kernels", "timings_to_record",
-           "write_bench_json", "render_timings", "BENCH_MODES"]
+__all__ = ["SUITE"]
 
 #: Per-mode workload sizes.  ``quick`` keeps the whole suite under a few
 #: seconds (the tier-1 smoke test runs it); ``full`` is the recorded
 #: configuration behind ``BENCH_kernels.json``.
-BENCH_MODES: dict[str, dict] = {
+MODES: dict[str, dict] = {
     "quick": dict(repeats=3, batch=4, channels=8, nodes=10, time_steps=12,
                   gru_hidden=16, stgcn_nodes=8, stgcn_batch=4,
                   gwn_batch=4, gwn_channels=8, gwn_nodes=10),
@@ -61,32 +55,19 @@ BENCH_MODES: dict[str, dict] = {
 }
 
 
-@dataclass
-class KernelTiming:
-    """Reference vs. fast wall time for one benchmark case."""
+def _timed(build):
+    """Suite case from a ``build(sizes, rng) -> (step, meta[, reference])``
+    builder (see the cases section below)."""
+    def make(sizes: dict, rng: np.random.Generator):
+        step, meta, *own_reference = build(sizes, rng)
+        if own_reference:
+            reference = best_of(own_reference[0], sizes["repeats"])
+        else:
+            with K.use_reference_kernels():
+                reference = best_of(step, sizes["repeats"])
+        return reference, best_of(step, sizes["repeats"]), meta
 
-    name: str
-    reference_seconds: float
-    fast_seconds: float
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def speedup(self) -> float:
-        """Reference time over fast time (>1 means the fast path wins)."""
-        if self.fast_seconds <= 0:
-            return float("inf")
-        return self.reference_seconds / self.fast_seconds
-
-
-def _best_of(step, repeats: int) -> float:
-    """Minimum wall time of ``step`` over ``repeats`` runs (one warm-up)."""
-    step()
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        step()
-        best = min(best, time.perf_counter() - start)
-    return best
+    return make
 
 
 # --------------------------------------------------------------------- #
@@ -194,7 +175,7 @@ def _case_unbind_backward(sizes: dict, rng: np.random.Generator):
 
 
 def _case_gru_step(sizes: dict, rng: np.random.Generator):
-    from .layers import GRU
+    from ..nn.layers import GRU
 
     batch, steps = sizes["batch"] * sizes["nodes"], sizes["time_steps"]
     hidden = sizes["gru_hidden"]
@@ -212,7 +193,7 @@ def _case_gru_step(sizes: dict, rng: np.random.Generator):
 
 def _case_stgcn_train_step(sizes: dict, rng: np.random.Generator):
     from ..models import create_model
-    from .optim import Adam
+    from ..nn.optim import Adam
 
     nodes, batch = sizes["stgcn_nodes"], sizes["stgcn_batch"]
     adjacency = np.eye(nodes) + (rng.random((nodes, nodes)) > 0.6)
@@ -256,92 +237,22 @@ def _case_einsum_graph_conv(sizes: dict, rng: np.random.Generator):
     return step, meta, reference
 
 
-_CASES = [
-    ("conv2d_backward", _case_conv2d_backward),
-    ("conv2d_backward_strided", _case_conv2d_backward_strided),
-    ("conv2d_forward", _case_conv2d_forward),
-    ("col2im", _case_col2im),
-    ("split_backward", _case_split_backward),
-    ("unbind_backward", _case_unbind_backward),
-    ("gru_step", _case_gru_step),
-    ("stgcn_train_step", _case_stgcn_train_step),
-    ("einsum_graph_conv", _case_einsum_graph_conv),
-]
-
-
-def bench_kernels(mode: str = "quick", bus: EventBus | None = None,
-                  cases: list[str] | None = None) -> list[KernelTiming]:
-    """Run the kernel suite; returns per-case reference/fast timings.
-
-    ``mode`` selects the workload preset (see :data:`BENCH_MODES`).  Every
-    case is timed twice over identical inputs — once inside
-    :func:`repro.nn.kernels.use_reference_kernels` (or through the case's
-    own reference closure) and once on the fast engine — and emits a :class:`repro.obs.KernelBench` event on ``bus``
-    (the ambient bus when None).  ``cases`` restricts the run to a subset
-    of case names.
-    """
-    if mode not in BENCH_MODES:
-        raise ValueError(f"unknown bench mode {mode!r}; "
-                         f"expected one of {sorted(BENCH_MODES)}")
-    sizes = BENCH_MODES[mode]
-    bus = bus if bus is not None else get_bus()
-    selected = _CASES if cases is None else [
-        (name, make) for name, make in _CASES if name in set(cases)]
-    if cases is not None and len(selected) != len(set(cases)):
-        known = {name for name, _ in _CASES}
-        raise ValueError(f"unknown bench case(s) {sorted(set(cases) - known)}")
-
-    results = []
-    for name, make in selected:
-        rng = np.random.default_rng(7)
-        step, meta, *own_reference = make(sizes, rng)
-        if own_reference:
-            reference = _best_of(own_reference[0], sizes["repeats"])
-        else:
-            with K.use_reference_kernels():
-                reference = _best_of(step, sizes["repeats"])
-        fast = _best_of(step, sizes["repeats"])
-        timing = KernelTiming(name=name, reference_seconds=reference,
-                              fast_seconds=fast, meta=meta)
-        bus.emit(KernelBench(name=name, mode=mode,
-                             reference_seconds=reference,
-                             fast_seconds=fast, speedup=timing.speedup,
-                             meta=meta))
-        results.append(timing)
-    return results
-
-
-def timings_to_record(timings: list[KernelTiming], mode: str,
-                      suite: str = "kernels") -> dict:
-    """JSON-safe record of one suite run (the ``BENCH_<suite>.json`` body)."""
-    return {
-        "suite": suite,
-        "mode": mode,
-        "numpy": np.__version__,
-        "timings": [
-            {"name": t.name,
-             "reference_seconds": round(t.reference_seconds, 6),
-             "fast_seconds": round(t.fast_seconds, 6),
-             "speedup": round(t.speedup, 2),
-             "meta": t.meta}
-            for t in timings
-        ],
-    }
-
-
-def write_bench_json(timings: list[KernelTiming], path: str | Path,
-                     mode: str, suite: str = "kernels") -> None:
-    """Write :func:`timings_to_record` to ``path`` (pretty-printed)."""
-    record = timings_to_record(timings, mode, suite=suite)
-    Path(path).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
-
-
-def render_timings(timings: list[KernelTiming]) -> str:
-    """Fixed-width table of the suite results for terminal output."""
-    header = (f"{'case':<26} {'reference':>12} {'fast':>12} {'speedup':>8}")
-    lines = [header, "-" * len(header)]
-    for t in timings:
-        lines.append(f"{t.name:<26} {t.reference_seconds * 1e3:>10.2f}ms "
-                     f"{t.fast_seconds * 1e3:>10.2f}ms {t.speedup:>7.2f}x")
-    return "\n".join(lines)
+SUITE = Suite(
+    name="kernels",
+    modes=MODES,
+    cases={name: _timed(build) for name, build in [
+        ("conv2d_backward", _case_conv2d_backward),
+        ("conv2d_backward_strided", _case_conv2d_backward_strided),
+        ("conv2d_forward", _case_conv2d_forward),
+        ("col2im", _case_col2im),
+        ("split_backward", _case_split_backward),
+        ("unbind_backward", _case_unbind_backward),
+        ("gru_step", _case_gru_step),
+        ("stgcn_train_step", _case_stgcn_train_step),
+        ("einsum_graph_conv", _case_einsum_graph_conv),
+    ]},
+    banner=("Kernel benchmark suite (mode={mode}) — "
+            "reference np.add.at engine vs fast kernels"),
+    help="time the hot kernels against the reference paths",
+    seed=7,
+)

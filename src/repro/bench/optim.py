@@ -19,22 +19,23 @@ Cases
 - ``zero_grad``       — one memset of the arena grad buffer vs. a
   per-parameter loop
 
-Every case emits a :class:`repro.obs.OptimBench` event on the bus; the CLI
-front-end is ``python -m repro bench optim`` (``--json`` records
-``BENCH_optim.json``).  See ``docs/training.md``.
+Both paths walk the identical arena-view state, so the comparison is
+honest; every case times the reference loop first, then the fused path,
+each best-of ``repeats`` after one warm-up.  The CLI front-end is
+``python -m repro bench optim`` (``--json`` records ``BENCH_optim.json``).
+See ``docs/training.md``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..obs.events import EventBus, OptimBench, get_bus
-from .kernel_bench import KernelTiming, _best_of
-from .module import Module, Parameter
-from .optim import (SGD, Adagrad, Adam, AdamW, RMSprop, clip_grad_norm,
-                    reference_optim_enabled, use_reference_optim)
+from ..nn.module import Module, Parameter
+from ..nn.optim import (SGD, Adagrad, Adam, AdamW, RMSprop, clip_grad_norm,
+                        reference_optim_enabled, use_reference_optim)
+from .harness import Suite, best_of
 
-__all__ = ["bench_optim", "OPTIM_BENCH_MODES"]
+__all__ = ["SUITE"]
 
 #: Per-mode workload sizes.  ``quick`` keeps the suite under a second for
 #: the tier-1 smoke test; ``full`` is the recorded configuration behind
@@ -43,7 +44,7 @@ __all__ = ["bench_optim", "OPTIM_BENCH_MODES"]
 #: calls per step in the loop path; a handful of flat-array ops fused).
 #: With few huge matrices the loop path is already bandwidth-bound and
 #: fusing cannot win, so that regime is deliberately not the preset.
-OPTIM_BENCH_MODES: dict[str, dict] = {
+MODES: dict[str, dict] = {
     "quick": dict(repeats=3, params=60, dim=16),
     "full": dict(repeats=5, params=500, dim=8),
 }
@@ -64,6 +65,19 @@ class _SyntheticModel(Module):
         for i in range(params):
             shape = shapes[i % len(shapes)]
             setattr(self, f"p{i}", Parameter(rng.normal(size=shape)))
+
+
+def _timed(build):
+    """Suite case from a ``build(sizes, rng) -> (step, meta)`` builder:
+    ``step`` under :func:`repro.nn.optim.use_reference_optim`, then on
+    the fused path."""
+    def make(sizes: dict, rng: np.random.Generator):
+        step, meta = build(sizes, rng)
+        with use_reference_optim():
+            reference = best_of(step, sizes["repeats"])
+        return reference, best_of(step, sizes["repeats"]), meta
+
+    return make
 
 
 def _make_model(sizes: dict, rng: np.random.Generator):
@@ -117,52 +131,21 @@ def _case_zero_grad(sizes: dict, rng: np.random.Generator):
     return step, meta
 
 
-_CASES = [
-    ("adam_step", _case_optimizer(Adam, weight_decay=1e-5)),
-    ("adamw_step", _case_optimizer(AdamW, weight_decay=1e-2)),
-    ("sgd_step", _case_optimizer(SGD, momentum=0.9, weight_decay=1e-5)),
-    ("rmsprop_step", _case_optimizer(RMSprop, momentum=0.9)),
-    ("adagrad_step", _case_optimizer(Adagrad)),
-    ("clip_grad_norm", _case_clip_grad_norm),
-    ("zero_grad", _case_zero_grad),
-]
-
-
-def bench_optim(mode: str = "quick", bus: EventBus | None = None,
-                cases: list[str] | None = None) -> list[KernelTiming]:
-    """Run the optimizer suite; returns per-case reference/fused timings.
-
-    ``mode`` selects the workload preset (see :data:`OPTIM_BENCH_MODES`).
-    Every case is timed twice on the same state — once inside
-    :func:`repro.nn.optim.use_reference_optim` and once on the fused path
-    (both walk the identical arena-view state, so the comparison is
-    honest) — and emits a :class:`repro.obs.OptimBench` event on ``bus``
-    (the ambient bus when None).  ``cases`` restricts the run to a subset
-    of case names.
-    """
-    if mode not in OPTIM_BENCH_MODES:
-        raise ValueError(f"unknown bench mode {mode!r}; "
-                         f"expected one of {sorted(OPTIM_BENCH_MODES)}")
-    sizes = OPTIM_BENCH_MODES[mode]
-    bus = bus if bus is not None else get_bus()
-    selected = _CASES if cases is None else [
-        (name, make) for name, make in _CASES if name in set(cases)]
-    if cases is not None and len(selected) != len(set(cases)):
-        known = {name for name, _ in _CASES}
-        raise ValueError(f"unknown bench case(s) {sorted(set(cases) - known)}")
-
-    results = []
-    for name, make in selected:
-        rng = np.random.default_rng(11)
-        step, meta = make(sizes, rng)
-        with use_reference_optim():
-            reference = _best_of(step, sizes["repeats"])
-        fast = _best_of(step, sizes["repeats"])
-        timing = KernelTiming(name=name, reference_seconds=reference,
-                              fast_seconds=fast, meta=meta)
-        bus.emit(OptimBench(name=name, mode=mode,
-                            reference_seconds=reference,
-                            fast_seconds=fast, speedup=timing.speedup,
-                            meta=meta))
-        results.append(timing)
-    return results
+SUITE = Suite(
+    name="optim",
+    modes=MODES,
+    cases={name: _timed(build) for name, build in [
+        ("adam_step", _case_optimizer(Adam, weight_decay=1e-5)),
+        ("adamw_step", _case_optimizer(AdamW, weight_decay=1e-2)),
+        ("sgd_step", _case_optimizer(SGD, momentum=0.9, weight_decay=1e-5)),
+        ("rmsprop_step", _case_optimizer(RMSprop, momentum=0.9)),
+        ("adagrad_step", _case_optimizer(Adagrad)),
+        ("clip_grad_norm", _case_clip_grad_norm),
+        ("zero_grad", _case_zero_grad),
+    ]},
+    banner=("Optimizer benchmark suite (mode={mode}) — "
+            "per-parameter reference loop vs fused arena updates"),
+    help=("time fused arena optimizer updates against the per-parameter "
+          "reference loop"),
+    seed=11,
+)

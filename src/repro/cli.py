@@ -39,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .bench import SUITES, render_timings, run, write_bench_json
 from .core import (TrainingConfig, aggregate_runs, fig1_table, fig2_table,
                    run_experiment, save_results, table3)
 from .datasets import DATASETS, dataset_names, load_dataset
@@ -130,58 +131,25 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench", help="engine benchmarks (reference vs fast kernels)")
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    bench_kernels = bench_sub.add_parser(
-        "kernels", help="time the hot kernels against the reference paths")
-    bench_kernels.add_argument("--mode", default="full",
-                               choices=("quick", "full"),
-                               help="workload preset (quick for smoke runs)")
-    bench_kernels.add_argument("--case", nargs="+", metavar="NAME",
-                               help="restrict to specific benchmark cases")
-    bench_kernels.add_argument("--json", metavar="PATH",
-                               help="write results JSON (BENCH_kernels.json)")
-    bench_kernels.add_argument("--trace", metavar="PATH",
-                               help="record kernel_bench events as JSONL")
-    bench_optim = bench_sub.add_parser(
-        "optim", help="time fused arena optimizer updates against the "
-                      "per-parameter reference loop")
-    bench_optim.add_argument("--mode", default="full",
-                             choices=("quick", "full"),
-                             help="workload preset (quick for smoke runs)")
-    bench_optim.add_argument("--case", nargs="+", metavar="NAME",
-                             help="restrict to specific benchmark cases")
-    bench_optim.add_argument("--json", metavar="PATH",
-                             help="write results JSON (BENCH_optim.json)")
-    bench_optim.add_argument("--trace", metavar="PATH",
-                             help="record optim_bench events as JSONL")
-    bench_data = bench_sub.add_parser(
-        "data", help="time the lazy window pipeline and the dataset cache "
-                     "against eager builds and cold loads")
-    bench_data.add_argument("--mode", default="full",
-                            choices=("quick", "full"),
-                            help="workload preset (quick for smoke runs)")
-    bench_data.add_argument("--case", nargs="+", metavar="NAME",
-                            help="restrict to specific benchmark cases")
-    bench_data.add_argument("--json", metavar="PATH",
-                            help="write results JSON (BENCH_data.json)")
-    bench_data.add_argument("--trace", metavar="PATH",
-                            help="record data_bench events as JSONL")
-    bench_obs = bench_sub.add_parser(
-        "obs", help="time the observability layer itself (span overhead, "
-                    "metrics registry)")
-    bench_obs.add_argument("--mode", default="full",
-                           choices=("quick", "full"),
-                           help="workload preset (quick for smoke runs)")
-    bench_obs.add_argument("--case", nargs="+", metavar="NAME",
-                           help="restrict to specific benchmark cases")
-    bench_obs.add_argument("--json", metavar="PATH",
-                           help="write results JSON (BENCH_obs.json)")
-    bench_obs.add_argument("--trace", metavar="PATH",
-                           help="record obs_bench events as JSONL")
+    for suite in SUITES.values():
+        bench_suite = bench_sub.add_parser(suite.name, help=suite.help)
+        bench_suite.add_argument("--mode", default="full",
+                                 choices=tuple(suite.modes),
+                                 help="workload preset (quick for smoke "
+                                      "runs)")
+        bench_suite.add_argument("--case", action="extend", nargs="+",
+                                 metavar="NAME",
+                                 help="restrict to specific benchmark cases")
+        bench_suite.add_argument("--json", metavar="PATH",
+                                 help=f"write results JSON "
+                                      f"(BENCH_{suite.name}.json)")
+        bench_suite.add_argument("--trace", metavar="PATH",
+                                 help="record bench_result events as JSONL")
     bench_check = bench_sub.add_parser(
         "check", help="gate bench results against the committed "
                       "BENCH_*.json baselines (exit 1 on regression)")
     bench_check.add_argument("--suite", nargs="+", metavar="NAME",
-                             choices=("kernels", "optim", "data", "obs"),
+                             choices=tuple(SUITES),
                              help="suites to check (default: every suite "
                                   "with a baseline under --root)")
     bench_check.add_argument("--root", default=".",
@@ -369,8 +337,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_check(args: argparse.Namespace) -> int:
-    from .obs.gate import (DEFAULT_TOLERANCE, check_records, find_baselines,
-                           load_bench_record, run_and_check)
+    from .bench.gate import (DEFAULT_TOLERANCE, check_records,
+                             find_baselines, load_bench_record,
+                             run_and_check)
 
     tolerance = (args.tolerance if args.tolerance is not None
                  else DEFAULT_TOLERANCE)
@@ -413,39 +382,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.bench_command == "check":
         return _cmd_bench_check(args)
 
-    from .datasets.data_bench import bench_data
-    from .nn.kernel_bench import (bench_kernels, render_timings,
-                                  write_bench_json)
-    from .nn.optim_bench import bench_optim
-    from .obs import ConsoleSink, EventBus, JSONLSink
-    from .obs.obs_bench import bench_obs
+    from .obs import BenchResult, ConsoleSink, EventBus, JSONLSink
 
-    if args.bench_command == "kernels":
-        suite, event_kind, run = "kernels", "kernel_bench", bench_kernels
-        banner = (f"Kernel benchmark suite (mode={args.mode}) — "
-                  f"reference np.add.at engine vs fast kernels")
-    elif args.bench_command == "optim":
-        suite, event_kind, run = "optim", "optim_bench", bench_optim
-        banner = (f"Optimizer benchmark suite (mode={args.mode}) — "
-                  f"per-parameter reference loop vs fused arena updates")
-    elif args.bench_command == "data":
-        suite, event_kind, run = "data", "data_bench", bench_data
-        banner = (f"Data pipeline benchmark suite (mode={args.mode}) — "
-                  f"eager windows / cold loads vs lazy gathers / cache hits")
-    elif args.bench_command == "obs":
-        suite, event_kind, run = "obs", "obs_bench", bench_obs
-        banner = (f"Observability benchmark suite (mode={args.mode}) — "
-                  f"untraced vs traced-but-unobserved instrumentation")
-    else:
-        return 1
-    sinks = [ConsoleSink(kinds=(event_kind,))]
+    suite = args.bench_command
+    sinks = [ConsoleSink(kinds=(BenchResult.kind,))]
     if args.trace:
         sinks.append(JSONLSink(args.trace))
     bus = EventBus(sinks)
-    print(banner + "\n")
+    print(SUITES[suite].banner.format(mode=args.mode) + "\n")
     try:
-        timings = run(mode=args.mode, bus=bus, cases=args.case)
-    except ValueError as error:           # unknown mode/case
+        timings = run(suite, mode=args.mode, bus=bus, cases=args.case)
+    except ValueError as error:           # unknown case
         print(f"error: {error}", file=sys.stderr)
         return 2
     finally:

@@ -14,8 +14,7 @@ from .generator import (STEPS_PER_DAY, STEPS_PER_HOUR, SimulationConfig,
 from .loader import DataLoader
 from .scalers import MinMaxScaler, StandardScaler
 from .windows import (SupervisedDataset, SupervisedSplit, WindowConfig,
-                      WindowSource, make_windows, reference_pipeline_enabled,
-                      use_reference_pipeline)
+                      WindowSource, make_windows)
 
 __all__ = [
     "DatasetSpec", "LoadedDataset", "DATASETS", "SPEED_DATASETS",
@@ -24,7 +23,7 @@ __all__ = [
     "STEPS_PER_DAY", "STEPS_PER_HOUR",
     "speed_from_density", "flow_from_density", "density_from_speed",
     "WindowConfig", "WindowSource", "SupervisedDataset", "SupervisedSplit",
-    "make_windows", "use_reference_pipeline", "reference_pipeline_enabled",
+    "make_windows",
     "StandardScaler", "MinMaxScaler", "DataLoader",
     "save_dataset", "load_saved_dataset",
     "DatasetCache", "CacheEntry", "dataset_cache_key", "default_cache_dir",

@@ -12,15 +12,14 @@ scaled copy of the series plus zero-copy
 gathered on demand (``split.batch(indices)``), so a dataset resident in
 memory costs O(T·N) instead of the O(S·T'·N·2) of eagerly stacked input
 tensors (~24x the series).  ``split.x`` / ``split.y`` remain available as
-materialising properties, ``split.materialize()`` forces the eager arrays,
-and the :func:`use_reference_pipeline` switch makes :func:`make_windows`
-materialise every split at construction — the pre-refactor behaviour —
-so equivalence tests can hold lazy and eager batches to exact equality.
+materialising properties, and ``split.materialize()`` /
+``dataset.materialize()`` force the eager arrays — the pre-refactor
+behaviour — so equivalence tests can hold lazy and eager batches to exact
+equality.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,35 +27,7 @@ import numpy as np
 from .scalers import MinMaxScaler, StandardScaler
 
 __all__ = ["WindowConfig", "WindowSource", "SupervisedSplit",
-           "SupervisedDataset", "make_windows", "use_reference_pipeline",
-           "reference_pipeline_enabled"]
-
-
-_REFERENCE = False
-
-
-@contextlib.contextmanager
-def use_reference_pipeline():
-    """Route :func:`make_windows` through the eager reference pipeline.
-
-    Inside the context every split materialises its full ``(S, T', N, F)``
-    input and ``(S, T, N)`` target arrays at construction and batches are
-    fancy-indexed from them — the pre-refactor data path.  Used by
-    equivalence tests (lazy and eager batches must match bitwise) and by
-    the data benchmark for honest before/after memory numbers.
-    """
-    global _REFERENCE
-    previous = _REFERENCE
-    _REFERENCE = True
-    try:
-        yield
-    finally:
-        _REFERENCE = previous
-
-
-def reference_pipeline_enabled() -> bool:
-    """True while inside :func:`use_reference_pipeline`."""
-    return _REFERENCE
+           "SupervisedDataset", "make_windows"]
 
 
 @dataclass
@@ -341,8 +312,8 @@ def make_windows(series: np.ndarray, time_of_day: np.ndarray,
                  day_of_week: np.ndarray | None = None) -> SupervisedDataset:
     """Build chronological train/val/test windows from a raw series.
 
-    Splits are lazy (view-backed) unless :func:`use_reference_pipeline`
-    is active, in which case every split materialises eagerly.
+    Splits are lazy (view-backed); call :meth:`SupervisedDataset.materialize`
+    on the result for eager arrays.
 
     Parameters
     ----------
@@ -394,10 +365,7 @@ def make_windows(series: np.ndarray, time_of_day: np.ndarray,
         if len(starts) == 0:
             raise ValueError(
                 f"split [{start}, {end}) too short for window {window}")
-        split = SupervisedSplit(source=source, starts=starts)
-        if reference_pipeline_enabled():
-            split.materialize()
-        return split
+        return SupervisedSplit(source=source, starts=starts)
 
     return SupervisedDataset(
         train=build(0, train_end),

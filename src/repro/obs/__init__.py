@@ -4,13 +4,11 @@ The observability layer for the whole stack (see ``docs/observability.md``):
 
 - :mod:`repro.obs.events` — typed events (:class:`RunStarted`,
   :class:`EpochEnd`, :class:`BatchEnd`, :class:`EvalDone`,
-  :class:`CheckpointSaved`, :class:`RunFinished`, :class:`ProfileSnapshot`)
+  :class:`CheckpointSaved`, :class:`RunFinished`, :class:`BenchResult`)
   on an :class:`EventBus` with pluggable sinks (console, JSONL file,
   in-memory recorder).
 - :mod:`repro.obs.manifest` — the ``run.json`` writer: config, seed,
   parameter count, wall time, peak RSS, library versions.
-- :mod:`repro.obs.metrics` — timers/counters and :func:`profile_region`,
-  which publishes op-census breakdowns from :mod:`repro.nn.profiler`.
 - :mod:`repro.obs.trace` — JSONL trace parsing, schema validation, and
   ``repro trace summarize``-style reports.
 - :mod:`repro.obs.spans` — nested, thread-correct span tracing
@@ -18,9 +16,10 @@ The observability layer for the whole stack (see ``docs/observability.md``):
 - :mod:`repro.obs.stats` — the :class:`MetricsRegistry` of counters,
   gauges, and latency histograms the stack updates while it runs.
 - :mod:`repro.obs.export` — Chrome-tracing/Perfetto timeline export.
-- :mod:`repro.obs.gate` — the ``repro bench check`` perf-regression gate
-  over the committed ``BENCH_*.json`` baselines.
-- :mod:`repro.obs.obs_bench` — measures the tracing overhead itself.
+
+The bench suites that emit :class:`BenchResult` (the tracing-overhead
+suite among them) and the regression gate live in :mod:`repro.bench`,
+which depends on this package, never the other way round.
 
 Quickstart::
 
@@ -31,19 +30,15 @@ Quickstart::
     bus.close()
 """
 
-from .events import (EVENT_KINDS, BatchEnd, CacheHit, CacheMiss,
-                     CheckpointSaved, ConsoleSink, DataBench, DatasetBuild,
-                     EpochEnd, EvalDone, Event, EventBus, GradClip,
-                     JSONLSink, KernelBench, MemorySink, MetricsSnapshot,
-                     ObsBench, OptimBench, ProfileSnapshot, RunFinished,
-                     RunStarted, SpanEvent, bus_scope, event_from_record,
+from .events import (EVENT_KINDS, BatchEnd, BenchResult, CacheHit, CacheMiss,
+                     CheckpointSaved, ConsoleSink, DatasetBuild, EpochEnd,
+                     EvalDone, Event, EventBus, GradClip, JSONLSink,
+                     MemorySink, MetricsSnapshot, RunFinished, RunStarted,
+                     SpanEvent, bus_scope, event_from_record,
                      event_to_record, get_bus)
 from .export import chrome_trace, write_chrome_trace
-from .gate import (GateFinding, GateReport, check_records, find_baselines,
-                   load_bench_record, run_and_check)
 from .manifest import (RunManifest, build_manifest, normalize_ru_maxrss,
                        peak_rss_kb, read_manifest, write_manifest)
-from .metrics import Counter, Timer, profile_region, snapshot_from_report
 from .spans import (Span, SpanNode, SpanTree, current_span, disable_spans,
                     span, span_report, spans_enabled)
 from .stats import (Gauge, Histogram, MetricsRegistry, StatCounter,
@@ -52,8 +47,7 @@ from .trace import read_trace, summarize_trace, validate_record, validate_trace
 
 __all__ = [
     "Event", "RunStarted", "BatchEnd", "EpochEnd", "EvalDone",
-    "CheckpointSaved", "RunFinished", "ProfileSnapshot", "KernelBench",
-    "GradClip", "OptimBench", "DataBench", "ObsBench",
+    "CheckpointSaved", "RunFinished", "GradClip", "BenchResult",
     "CacheHit", "CacheMiss", "DatasetBuild", "SpanEvent", "MetricsSnapshot",
     "EVENT_KINDS",
     "event_to_record", "event_from_record",
@@ -61,13 +55,10 @@ __all__ = [
     "get_bus", "bus_scope",
     "RunManifest", "build_manifest", "write_manifest", "read_manifest",
     "peak_rss_kb", "normalize_ru_maxrss",
-    "Timer", "Counter", "profile_region", "snapshot_from_report",
     "read_trace", "validate_record", "validate_trace", "summarize_trace",
     "Span", "span", "current_span", "spans_enabled", "disable_spans",
     "SpanNode", "SpanTree", "span_report",
     "StatCounter", "Gauge", "Histogram", "MetricsRegistry",
     "get_registry", "registry_scope",
     "chrome_trace", "write_chrome_trace",
-    "GateFinding", "GateReport", "load_bench_record", "find_baselines",
-    "check_records", "run_and_check",
 ]

@@ -2,10 +2,9 @@
 
 The experiment runner emits one event per interesting moment of a run —
 :class:`RunStarted`, :class:`BatchEnd`, :class:`EpochEnd`,
-:class:`EvalDone`, :class:`CheckpointSaved`, :class:`RunFinished`, and
-:class:`ProfileSnapshot` for op-census regions — onto an
-:class:`EventBus`.  Sinks subscribe to the bus and decide what to do with
-the stream: :class:`ConsoleSink` prints human-readable lines (the old
+:class:`EvalDone`, :class:`CheckpointSaved`, :class:`RunFinished` — onto
+an :class:`EventBus`.  Sinks subscribe to the bus and decide what to do
+with the stream: :class:`ConsoleSink` prints human-readable lines (the old
 ``verbose=True`` output is exactly one console sink filtered to
 ``epoch_end``), :class:`JSONLSink` appends one JSON object per event to a
 trace file, and :class:`MemorySink` records events for tests and
@@ -34,10 +33,10 @@ from typing import Any, Callable, ClassVar, Iterable, TextIO
 
 __all__ = [
     "Event", "RunStarted", "BatchEnd", "EpochEnd", "EvalDone",
-    "CheckpointSaved", "RunFinished", "ProfileSnapshot", "KernelBench",
-    "GradClip", "OptimBench", "DataBench", "ObsBench",
+    "CheckpointSaved", "RunFinished", "GradClip", "BenchResult",
     "CacheHit", "CacheMiss", "DatasetBuild", "SpanEvent", "MetricsSnapshot",
-    "EVENT_KINDS", "event_to_record", "event_from_record",
+    "EVENT_KINDS", "LEGACY_BENCH_KINDS", "event_to_record",
+    "event_from_record", "upgrade_record",
     "EventBus", "ConsoleSink", "JSONLSink", "MemorySink",
     "get_bus", "bus_scope",
 ]
@@ -127,22 +126,6 @@ class RunFinished(Event):
 
 
 @dataclass
-class ProfileSnapshot(Event):
-    """Op census of a profiled region (see :func:`repro.obs.profile_region`).
-
-    ``top_ops`` maps op name to ``{"count": .., "elements": ..}`` for the
-    heaviest ops in the region.
-    """
-
-    kind: ClassVar[str] = "profile"
-    label: str = ""
-    wall_seconds: float = 0.0
-    total_nodes: int = 0
-    total_elements: int = 0
-    top_ops: dict = field(default_factory=dict)
-
-
-@dataclass
 class GradClip(Event):
     """Gradient clipping actually rescaled the gradients this step.
 
@@ -159,50 +142,17 @@ class GradClip(Event):
 
 
 @dataclass
-class OptimBench(Event):
-    """One optimizer benchmark case: reference-loop vs fused timings.
+class BenchResult(Event):
+    """One bench case: reference vs. fast timings (see :mod:`repro.bench`).
 
-    Emitted by :mod:`repro.nn.optim_bench` for every case; ``meta``
-    carries the case's parameter-list geometry.
+    ``suite`` names the registered suite (``kernels``, ``optim``,
+    ``data``, ``obs``); ``meta`` carries the case's shapes and
+    case-specific measurements, such as the ``obs`` suite's
+    ``overhead_pct`` that the regression gate holds to its budget.
     """
 
-    kind: ClassVar[str] = "optim_bench"
-    name: str = ""
-    mode: str = "quick"
-    reference_seconds: float = 0.0
-    fast_seconds: float = 0.0
-    speedup: float = 0.0
-    meta: dict = field(default_factory=dict)
-
-
-@dataclass
-class KernelBench(Event):
-    """One kernel benchmark case: reference vs. optimised timings.
-
-    Emitted by :mod:`repro.nn.kernel_bench` for every microbenchmark and
-    model-step case; ``meta`` carries the case's shapes/parameters.
-    """
-
-    kind: ClassVar[str] = "kernel_bench"
-    name: str = ""
-    mode: str = "quick"
-    reference_seconds: float = 0.0
-    fast_seconds: float = 0.0
-    speedup: float = 0.0
-    meta: dict = field(default_factory=dict)
-
-
-@dataclass
-class DataBench(Event):
-    """One data-pipeline benchmark case: reference vs. optimised timings.
-
-    Emitted by :mod:`repro.datasets.data_bench` for every case (cold vs.
-    cached dataset loads, eager vs. lazy window pipelines); ``meta``
-    carries case-specific measurements such as batches/sec and peak
-    memory under both pipelines.
-    """
-
-    kind: ClassVar[str] = "data_bench"
+    kind: ClassVar[str] = "bench_result"
+    suite: str = ""
     name: str = ""
     mode: str = "quick"
     reference_seconds: float = 0.0
@@ -244,24 +194,6 @@ class DatasetBuild(Event):
     num_steps: int = 0
     seconds: float = 0.0
     cached: bool = False       # True when the build was written to the cache
-
-
-@dataclass
-class ObsBench(Event):
-    """One observability benchmark case: untraced vs traced timings.
-
-    Emitted by :mod:`repro.obs.obs_bench` for every case; ``meta`` carries
-    the measured tracing overhead (``overhead_pct``) so the regression
-    gate can hold instrumentation to its ≤2% budget.
-    """
-
-    kind: ClassVar[str] = "obs_bench"
-    name: str = ""
-    mode: str = "quick"
-    reference_seconds: float = 0.0
-    fast_seconds: float = 0.0
-    speedup: float = 0.0
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -307,9 +239,15 @@ class MetricsSnapshot(Event):
 EVENT_KINDS: dict[str, type[Event]] = {
     cls.kind: cls
     for cls in (RunStarted, BatchEnd, EpochEnd, EvalDone, CheckpointSaved,
-                RunFinished, ProfileSnapshot, KernelBench, GradClip,
-                OptimBench, DataBench, ObsBench, CacheHit, CacheMiss,
+                RunFinished, GradClip, BenchResult, CacheHit, CacheMiss,
                 DatasetBuild, SpanEvent, MetricsSnapshot)
+}
+
+#: Per-suite kinds that bench traces used before :class:`BenchResult`;
+#: they still parse, as a ``bench_result`` of the mapped suite.
+LEGACY_BENCH_KINDS: dict[str, str] = {
+    "kernel_bench": "kernels", "optim_bench": "optim",
+    "data_bench": "data", "obs_bench": "obs",
 }
 
 
@@ -320,8 +258,19 @@ def event_to_record(event: Event) -> dict[str, Any]:
     return record
 
 
+def upgrade_record(record: dict[str, Any]) -> dict[str, Any]:
+    """Rewrite a legacy bench record (:data:`LEGACY_BENCH_KINDS`) as the
+    ``bench_result`` record it stands for; other records pass through."""
+    suite = LEGACY_BENCH_KINDS.get(record.get("event"))
+    if suite is None:
+        return record
+    return {**record, "event": BenchResult.kind, "suite": suite}
+
+
 def event_from_record(record: dict[str, Any]) -> Event:
-    """Reconstruct the typed event serialised by :func:`event_to_record`."""
+    """Reconstruct the typed event serialised by :func:`event_to_record`
+    (legacy bench kinds included, see :func:`upgrade_record`)."""
+    record = upgrade_record(record)
     kind = record.get("event")
     cls = EVENT_KINDS.get(kind)
     if cls is None:
@@ -370,10 +319,6 @@ class ConsoleSink:
             return (f"[done] {event.model} on {event.dataset} "
                     f"seed={event.seed} best_val_mae={event.best_val_mae:.4f} "
                     f"({event.wall_seconds:.1f}s)")
-        if isinstance(event, ProfileSnapshot):
-            return (f"[profile] {event.label}: {event.total_nodes} nodes, "
-                    f"{event.total_elements:,} elements "
-                    f"({event.wall_seconds:.4f}s)")
         if isinstance(event, SpanEvent):
             mark = "" if event.status == "ok" else f" ERROR {event.error}"
             return (f"{'  ' * event.depth}[span] {event.label} "
@@ -383,7 +328,7 @@ class ConsoleSink:
                     f"{len(event.counters)} counters, "
                     f"{len(event.gauges)} gauges, "
                     f"{len(event.histograms)} histograms")
-        if isinstance(event, (KernelBench, OptimBench, DataBench, ObsBench)):
+        if isinstance(event, BenchResult):
             return (f"[bench] {event.name}: reference "
                     f"{event.reference_seconds * 1e3:.2f}ms -> "
                     f"{event.fast_seconds * 1e3:.2f}ms "

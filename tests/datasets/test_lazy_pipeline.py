@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import (DataLoader, StandardScaler, WindowConfig,
-                            make_windows, reference_pipeline_enabled,
-                            use_reference_pipeline)
+                            make_windows)
 
 
 @pytest.fixture(scope="module")
@@ -19,8 +18,7 @@ def series(ci_dataset):
 def both(series):
     values, time_of_day = series
     lazy = make_windows(values, time_of_day)
-    with use_reference_pipeline():
-        eager = make_windows(values, time_of_day)
+    eager = make_windows(values, time_of_day).materialize()
     return lazy, eager
 
 
@@ -29,12 +27,6 @@ class TestReferenceSwitch:
         lazy, eager = both
         assert all(s.is_lazy for s in lazy.splits)
         assert not any(s.is_lazy for s in eager.splits)
-
-    def test_flag_scoped_to_context(self):
-        assert not reference_pipeline_enabled()
-        with use_reference_pipeline():
-            assert reference_pipeline_enabled()
-        assert not reference_pipeline_enabled()
 
 
 class TestBitwiseEquivalence:
@@ -97,10 +89,8 @@ class TestBitwiseEquivalence:
         config = WindowConfig(include_day_of_week=True)
         lazy = make_windows(ci_dataset.supervised.series, sim.time_of_day,
                             config, day_of_week=sim.day_of_week)
-        with use_reference_pipeline():
-            eager = make_windows(ci_dataset.supervised.series,
-                                 sim.time_of_day, config,
-                                 day_of_week=sim.day_of_week)
+        eager = make_windows(ci_dataset.supervised.series, sim.time_of_day,
+                             config, day_of_week=sim.day_of_week).materialize()
         assert lazy.train.num_features == 3
         np.testing.assert_array_equal(lazy.train.x, eager.train.x)
 
@@ -161,7 +151,7 @@ class TestMemoryAccounting:
 
     def test_paper_scale_ratio_at_least_4x(self):
         from repro.datasets.catalog import DATASETS, _scaled_size
-        from repro.datasets.data_bench import estimate_dataset_nbytes
+        from repro.bench.data import estimate_dataset_nbytes
 
         nodes, days = _scaled_size(DATASETS["metr-la"], "paper")
         eager, lazy = estimate_dataset_nbytes(nodes, days * 288)

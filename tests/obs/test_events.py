@@ -4,13 +4,12 @@ import json
 
 import pytest
 
-from repro.obs import (EVENT_KINDS, BatchEnd, CacheHit, CacheMiss,
-                       CheckpointSaved, ConsoleSink, DataBench, DatasetBuild,
+from repro.obs import (EVENT_KINDS, BatchEnd, BenchResult, CacheHit,
+                       CacheMiss, CheckpointSaved, ConsoleSink, DatasetBuild,
                        EpochEnd, EvalDone, EventBus, GradClip, JSONLSink,
-                       KernelBench, MemorySink, MetricsSnapshot, ObsBench,
-                       OptimBench, ProfileSnapshot, RunFinished, RunStarted,
+                       MemorySink, MetricsSnapshot, RunFinished, RunStarted,
                        SpanEvent, bus_scope, event_from_record,
-                       event_to_record, get_bus, read_trace)
+                       event_to_record, get_bus, read_trace, validate_record)
 
 
 def sample_events():
@@ -26,28 +25,16 @@ def sample_events():
         CheckpointSaved(path="ckpt.npz", num_arrays=7),
         RunFinished(model="stgcn", dataset="metr-la", seed=3,
                     wall_seconds=9.9, best_epoch=0, best_val_mae=3.2),
-        ProfileSnapshot(label="fwd", wall_seconds=0.1, total_nodes=10,
-                        total_elements=100,
-                        top_ops={"matmul": {"count": 4, "elements": 80}}),
-        KernelBench(name="conv2d_backward", mode="full",
+        BenchResult(suite="kernels", name="conv2d_backward", mode="full",
                     reference_seconds=0.04, fast_seconds=0.01, speedup=4.0,
                     meta={"kernel": [1, 3]}),
         GradClip(epoch=1, batch=3, norm=7.25, max_norm=5.0),
-        OptimBench(name="adam_step", mode="full",
-                   reference_seconds=0.02, fast_seconds=0.005, speedup=4.0,
-                   meta={"parameters": 300}),
-        DataBench(name="dataset_load", mode="full",
-                  reference_seconds=1.2, fast_seconds=0.1, speedup=12.0,
-                  meta={"dataset": "metr-la"}),
         CacheHit(name="metr-la", scale="ci", key="0123456789abcdef",
                  path="/tmp/cache/metr-la_ci_0123456789abcdef.npz",
                  seconds=0.05),
         CacheMiss(name="metr-la", scale="ci", key="0123456789abcdef"),
         DatasetBuild(name="metr-la", scale="ci", num_nodes=7,
                      num_steps=1152, seconds=0.8, cached=True),
-        ObsBench(name="traced_train_step", mode="full",
-                 reference_seconds=0.3, fast_seconds=0.302, speedup=0.99,
-                 meta={"overhead_pct": 0.7}),
         SpanEvent(label="train/batch", span_id="2f", parent_id="1a",
                   t_start=1700000000.5, seconds=0.025, status="ok",
                   depth=2, thread=12345, attrs={"batch": 4}),
@@ -75,6 +62,25 @@ class TestEventRecords:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown event kind"):
             event_from_record({"event": "nope"})
+
+    @pytest.mark.parametrize("kind, suite", [
+        ("kernel_bench", "kernels"), ("optim_bench", "optim"),
+        ("data_bench", "data"), ("obs_bench", "obs")])
+    def test_legacy_bench_kind_reads_as_bench_result(self, kind, suite,
+                                                     tmp_path):
+        """Traces written before the single ``bench_result`` kind still
+        read, validate and parse, with ``suite`` taken from the kind."""
+        record = {"event": kind, "t": 1.0, "name": "case", "mode": "full",
+                  "reference_seconds": 0.2, "fast_seconds": 0.1,
+                  "speedup": 2.0, "meta": {"n": 1}}
+        path = tmp_path / "old.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        expected = BenchResult(suite=suite, name="case", mode="full",
+                               reference_seconds=0.2, fast_seconds=0.1,
+                               speedup=2.0, meta={"n": 1}, t=1.0)
+        assert read_trace(path, strict=True) == [expected]
+        assert event_from_record(record) == expected
+        assert validate_record(record) == []
 
     def test_unknown_fields_ignored(self):
         record = event_to_record(BatchEnd(epoch=1, batch=2, loss=0.1))
@@ -188,6 +194,13 @@ class TestConsoleSink:
         out = capsys.readouterr().out
         assert out.count("\n") == 1
         assert "epoch 1/2" in out
+
+    def test_bench_line_format(self):
+        event = BenchResult(suite="kernels", name="col2im",
+                            reference_seconds=0.04, fast_seconds=0.0125,
+                            speedup=3.2)
+        assert ConsoleSink().format(event) == (
+            "[bench] col2im: reference 40.00ms -> 12.50ms (3.20x)")
 
     def test_every_kind_renders(self):
         sink = ConsoleSink()

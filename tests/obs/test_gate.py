@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs import (EventBus, MemorySink, check_records, find_baselines,
-                       load_bench_record)
-from repro.obs.gate import BENCH_SUITES, DEFAULT_TOLERANCE
+from repro.bench import SUITES, load_bench_record, run
+from repro.bench.gate import (DEFAULT_TOLERANCE, check_records,
+                              find_baselines, run_and_check)
+from repro.obs import EventBus, MemorySink
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
@@ -59,6 +60,14 @@ class TestCheckRecords:
         current = make_record(cases={"conv": 3.5})
         assert check_records(current, baseline).passed
         assert not check_records(current, baseline, tolerance=0.05).passed
+
+    @pytest.mark.parametrize("tolerance", [-0.5, 1.0, 2.0])
+    def test_tolerance_outside_unit_interval_rejected(self, tolerance):
+        """At 1 or above every slowdown would pass; below 0 identical
+        records would fail."""
+        record = make_record()
+        with pytest.raises(ValueError, match="tolerance"):
+            check_records(record, record, tolerance=tolerance)
 
     def test_missing_case_fails(self):
         baseline = make_record(cases={"conv": 4.0, "gru": 1.5})
@@ -139,7 +148,7 @@ class TestRecordIO:
 
     def test_repo_ships_all_four_baselines(self):
         found = find_baselines(REPO_ROOT)
-        assert set(found) == set(BENCH_SUITES)
+        assert set(found) == set(SUITES)
         for suite, path in found.items():
             record = load_bench_record(path)
             assert record["suite"] == suite
@@ -189,6 +198,16 @@ class TestCommittedBaselines:
         out = capsys.readouterr().out
         assert "FAIL" in out and "regression" in out
 
+    @pytest.mark.parametrize("tolerance", ["2", "-0.5"])
+    def test_cli_rejects_out_of_range_tolerance(self, tolerance, capsys):
+        from repro.cli import main
+
+        baseline = str(REPO_ROOT / "BENCH_kernels.json")
+        rc = main(["bench", "check", "--current", baseline,
+                   "--baseline", baseline, "--tolerance", tolerance])
+        assert rc == 2
+        assert "tolerance must be in [0, 1)" in capsys.readouterr().err
+
     def test_cli_rejects_half_specified_comparison(self, capsys):
         from repro.cli import main
 
@@ -208,14 +227,10 @@ class TestRunAndCheck:
     def test_fresh_obs_quick_run_skips_against_full_baseline(self):
         """run_and_check with an explicit quick mode produces a skipped
         (mode-mismatch) report rather than a bogus verdict."""
-        from repro.obs import run_and_check
-
         report = run_and_check("obs", REPO_ROOT / "BENCH_obs.json",
                                mode="quick", bus=EventBus([MemorySink()]))
         assert report.skipped and report.passed
 
     def test_unknown_suite_raises(self):
-        from repro.obs.gate import run_suite
-
         with pytest.raises(ValueError, match="unknown bench suite"):
-            run_suite("nope", "quick")
+            run("nope", "quick")

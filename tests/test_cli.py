@@ -240,64 +240,3 @@ class TestCacheCommands:
         assert main(["cache", "clear"]) == 0
         assert "removed 1 entry" in capsys.readouterr().out
         assert DatasetCache().entries() == []
-
-
-class TestBenchDataCommand:
-    def test_bench_data_quick(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        out_json = tmp_path / "BENCH_data.json"
-        code = main(["bench", "data", "--mode", "quick",
-                     "--json", str(out_json)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Data pipeline benchmark suite" in out
-        assert "dataset_load" in out
-        payload = json.loads(out_json.read_text())
-        assert payload["suite"] == "data"
-        assert payload["mode"] == "quick"
-        names = {case["name"] for case in payload["timings"]}
-        assert names == {"dataset_load", "window_build", "train_epoch",
-                         "resident_memory"}
-
-    def test_bench_data_single_case(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        code = main(["bench", "data", "--mode", "quick",
-                     "--case", "window_build"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "window_build" in out
-        assert "dataset_load" not in out
-
-
-class TestBenchObsCommand:
-    def test_bench_obs_quick(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        out_json = tmp_path / "BENCH_obs.json"
-        code = main(["bench", "obs", "--mode", "quick",
-                     "--json", str(out_json)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Observability benchmark suite" in out
-        assert "traced_train_step" in out
-        payload = json.loads(out_json.read_text())
-        assert payload["suite"] == "obs"
-        assert payload["mode"] == "quick"
-        names = {case["name"] for case in payload["timings"]}
-        assert names == {"traced_train_step", "span_noop_vs_recorded",
-                         "metrics_registry"}
-        (traced,) = [c for c in payload["timings"]
-                     if c["name"] == "traced_train_step"]
-        assert "overhead_pct" in traced["meta"]
-
-    def test_bench_obs_single_case(self, capsys):
-        code = main(["bench", "obs", "--mode", "quick",
-                     "--case", "span_noop_vs_recorded"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "span_noop_vs_recorded" in out
-        assert "traced_train_step" not in out
-
-    def test_bench_obs_unknown_case(self, capsys):
-        assert main(["bench", "obs", "--mode", "quick",
-                     "--case", "nope"]) == 2
-        assert "unknown bench case" in capsys.readouterr().err
