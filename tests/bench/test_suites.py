@@ -18,7 +18,8 @@ from typing import Callable
 
 import pytest
 
-from repro.bench import SUITES, Timing, load_bench_record, run
+from repro.bench import (SUITES, Timing, load_bench_record, render_timings,
+                         run, timings_to_record, write_bench_json)
 from repro.cli import main
 from repro.obs import BenchResult, EventBus, MemorySink, read_trace
 
@@ -170,9 +171,11 @@ class TestRun:
             assert event.speedup == timing.speedup
             assert event.meta == timing.meta
 
-    def test_unknown_mode_and_case_raise(self, suite):
+    def test_unknown_mode_raises(self, suite):
         with pytest.raises(ValueError, match="unknown bench mode"):
             run(suite, mode="warp")
+
+    def test_unknown_case_raises(self, suite):
         with pytest.raises(ValueError, match="unknown bench case"):
             run(suite, mode="quick", cases=["nope"])
 
@@ -186,6 +189,36 @@ class TestRun:
         assert record["mode"] == "full"
         assert list(SUITES[suite].cases) == [
             t["name"] for t in record["timings"]]
+
+
+def _synthetic_timings(suite: str) -> list[Timing]:
+    """Fixed timings for the suite's smoke cases; the record format needs
+    no clock."""
+    return [Timing(name=case, reference_seconds=0.002 * (i + 1),
+                   fast_seconds=0.001, meta={"index": i})
+            for i, case in enumerate(SMOKE[suite].cases)]
+
+
+@pytest.mark.parametrize("suite", list(SUITES))
+class TestRecords:
+    def test_record_structure_and_json_roundtrip(self, suite, tmp_path):
+        timings = _synthetic_timings(suite)
+        record = timings_to_record(timings, mode="quick", suite=suite)
+        assert record["suite"] == suite
+        assert record["mode"] == "quick"
+        assert [t["name"] for t in record["timings"]] == SMOKE[suite].cases
+        assert [t["speedup"] for t in record["timings"]] == [
+            2.0 * (i + 1) for i in range(len(timings))]
+        path = tmp_path / "bench.json"
+        write_bench_json(timings, path, mode="quick", suite=suite)
+        assert load_bench_record(path) == json.loads(json.dumps(record))
+
+    def test_render_timings_table(self, suite):
+        timings = _synthetic_timings(suite)
+        lines = render_timings(timings).splitlines()
+        assert lines[0].split() == ["case", "reference", "fast", "speedup"]
+        assert [line.split()[0] for line in lines[2:]] == SMOKE[suite].cases
+        assert lines[2].split()[1:] == ["2.00ms", "1.00ms", "2.00x"]
 
 
 def test_timing_speedup():

@@ -64,8 +64,9 @@ class TestEventRecords:
             event_from_record({"event": "nope"})
 
     @pytest.mark.parametrize("kind, suite", [
-        ("kernel_bench", "kernels"), ("optim_bench", "optim"),
-        ("data_bench", "data"), ("obs_bench", "obs")])
+        pytest.param(kind, suite, id=kind) for kind, suite in (
+            ("kernel_bench", "kernels"), ("optim_bench", "optim"),
+            ("data_bench", "data"), ("obs_bench", "obs"))])
     def test_legacy_bench_kind_reads_as_bench_result(self, kind, suite,
                                                      tmp_path):
         """Traces written before the single ``bench_result`` kind still
