@@ -2,7 +2,6 @@
 
 from .analysis import (VolatilityProfile, error_volatility_correlation,
                        per_sensor_errors, volatility_profile)
-from .crossval import RollingFold, rolling_origin_evaluate, rolling_origin_folds
 from .export import export_predictions, load_predictions, predictions_to_csv
 from .experiment import (EvaluationResult, RunResult, TrainingConfig,
                          TrainingHistory, evaluate_model, predict,
@@ -39,7 +38,6 @@ __all__ = [
     "horizon_curve", "curve_steepness", "render_curves",
     "PatternMasks", "classify_intervals", "evaluate_patterns",
     "RankTable", "rank_models", "friedman_test", "leaderboard",
-    "RollingFold", "rolling_origin_folds", "rolling_origin_evaluate",
     "Corruption", "drop_sensors", "add_noise", "stale_feed",
     "robustness_probe",
     "error_volatility_correlation", "volatility_profile",

@@ -2,8 +2,8 @@
 
 Paper-scale simulations (hundreds of sensors, months of 5-minute steps)
 dominate benchmark start-up, and the same world is rebuilt by every
-entry point — the benchmark matrix, rolling-origin cross-validation,
-hyper-parameter sweeps.  This module keys a built world by a hash of
+entry point — the benchmark matrix, hyper-parameter sweeps, the
+Table III benchmark.  This module keys a built world by a hash of
 everything that determines it — the :class:`~repro.datasets.DatasetSpec`,
 the derived :class:`~repro.datasets.SimulationConfig`, the
 :class:`~repro.datasets.WindowConfig`, the seed offset, the scale preset,
@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import string
 import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -44,6 +45,7 @@ __all__ = ["CACHE_FORMAT_VERSION", "CacheEntry", "DatasetCache",
 CACHE_FORMAT_VERSION = 1
 
 _DISABLED_VALUES = {"0", "off", "false", "no"}
+_KEY_LENGTH = 16
 
 
 def cache_enabled() -> bool:
@@ -76,7 +78,7 @@ def dataset_cache_key(spec, sim_config, window, seed_offset: int,
         "seed_offset": seed_offset,
         "scale": scale,
     }, sort_keys=True, default=list)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    return hashlib.sha256(payload.encode()).hexdigest()[:_KEY_LENGTH]
 
 
 @dataclass
@@ -91,11 +93,18 @@ class CacheEntry:
 
     @classmethod
     def from_path(cls, path: Path) -> "CacheEntry | None":
-        """Parse ``<name>_<scale>_<key>.npz``; None for foreign files."""
+        """Parse ``<name>_<scale>_<key>.npz``; None for foreign files.
+
+        The key must be 16 hex digits: in-flight temp files of
+        :meth:`DatasetCache.put` draw their names from ``[a-z0-9_]`` and
+        could otherwise parse as an entry.
+        """
         parts = path.stem.rsplit("_", 2)
         if len(parts) != 3 or path.suffix != ".npz":
             return None
         name, scale, key = parts
+        if len(key) != _KEY_LENGTH or key.strip(string.hexdigits):
+            return None
         return cls(name=name, scale=scale, key=key, path=path,
                    size_bytes=path.stat().st_size)
 
@@ -120,10 +129,14 @@ class DatasetCache:
 
         A corrupt entry (torn write from an old interpreter crash,
         truncated disk) is deleted and treated as a miss rather than
-        propagating a load error into the caller.
+        propagating a load error into the caller.  An archive that records
+        another key — written under another format version and copied or
+        renamed into place — is a miss too, and the next ``put`` replaces
+        it.  Archives that record no key predate the field; format 1 wrote
+        them under their own name.
         """
         from ..obs.spans import span
-        from .io import load_saved_dataset
+        from .io import load_archive
 
         with span("data/cache_get", dataset=name, key=key) as sp:
             path = self.path_for(name, scale, key)
@@ -131,10 +144,13 @@ class DatasetCache:
                 sp.set(hit=False)
                 return None
             try:
-                result = load_saved_dataset(path)
+                meta, result = load_archive(path)
             except Exception:
                 path.unlink(missing_ok=True)
                 sp.set(hit=False, corrupt=True)
+                return None
+            if meta.get("cache_key", key) != key:
+                sp.set(hit=False, stale=True)
                 return None
             sp.set(hit=True)
             return result
@@ -153,7 +169,7 @@ class DatasetCache:
                                                 suffix=".npz")
             os.close(handle)
             try:
-                save_dataset(dataset, tmp_name)
+                save_dataset(dataset, tmp_name, cache_key=key)
                 os.replace(tmp_name, path)
             finally:
                 Path(tmp_name).unlink(missing_ok=True)

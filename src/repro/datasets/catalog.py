@@ -9,7 +9,7 @@ Loading a dataset builds the road network, runs the traffic simulator, and
 returns windowed supervised splits plus the Gaussian-kernel adjacency.
 Built worlds are memoised on disk by a content hash of everything that
 determines them (see :mod:`repro.datasets.cache`), so the benchmark
-matrix, cross-validation, and sweeps simulate each world once; telemetry
+matrix and sweeps simulate each world once; telemetry
 (``cache_hit`` / ``cache_miss`` / ``dataset_build`` events) records which
 path served every load.
 """

@@ -23,12 +23,15 @@ from .windows import WindowConfig, make_windows
 __all__ = ["save_dataset", "load_saved_dataset"]
 
 
-def save_dataset(dataset: LoadedDataset, path: str | Path) -> None:
+def save_dataset(dataset: LoadedDataset, path: str | Path, *,
+                 cache_key: str | None = None) -> None:
     """Persist a loaded dataset (simulation + graph) to one ``.npz`` file.
 
     The supervised windows are *not* stored — rebuilding them is a few
     zero-copy sliding views under the lazy pipeline, while storing them
-    would multiply the file size ~24x.
+    would multiply the file size ~24x.  ``cache_key`` is recorded in the
+    archive metadata so :class:`~repro.datasets.DatasetCache` can check
+    that an entry holds the world it was asked for.
     """
     path = Path(path)
     network = dataset.network
@@ -41,6 +44,8 @@ def save_dataset(dataset: LoadedDataset, path: str | Path) -> None:
         "window": asdict(dataset.supervised.config),
         "incident_log": [list(entry) for entry in sim.incident_log],
     }
+    if cache_key is not None:
+        meta["cache_key"] = cache_key
     np.savez_compressed(
         path,
         meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
@@ -61,6 +66,12 @@ def save_dataset(dataset: LoadedDataset, path: str | Path) -> None:
 
 def load_saved_dataset(path: str | Path) -> LoadedDataset:
     """Rebuild a :class:`LoadedDataset` saved by :func:`save_dataset`."""
+    return load_archive(path)[1]
+
+
+def load_archive(path: str | Path) -> tuple[dict, LoadedDataset]:
+    """The JSON metadata and the rebuilt dataset of an archive written by
+    :func:`save_dataset`, from one read."""
     import networkx as nx
 
     path = Path(path)
@@ -94,6 +105,6 @@ def load_saved_dataset(path: str | Path) -> LoadedDataset:
     supervised = make_windows(values, sim.time_of_day, window,
                               day_of_week=sim.day_of_week)
 
-    return LoadedDataset(spec=spec, scale=meta["scale"], network=network,
-                         adjacency=adjacency, simulation=sim,
-                         supervised=supervised)
+    return meta, LoadedDataset(spec=spec, scale=meta["scale"],
+                               network=network, adjacency=adjacency,
+                               simulation=sim, supervised=supervised)

@@ -9,10 +9,13 @@ surface mirrors the torch layout:
 - layers (:mod:`repro.nn.layers`)
 - optimizers (:mod:`repro.nn.optim`)
 - masked losses (:mod:`repro.nn.losses`)
+
+Importing the package applies the glibc heap policy of
+:mod:`repro.nn.heap` once.
 """
 
-from . import (arena, checkpoint, functional, gradcheck, init, kernels,
-               losses, optim, profiler, summary)
+from . import (arena, checkpoint, functional, gradcheck, heap, init,
+               kernels, losses, optim, profiler, summary)
 from .arena import ParameterArena, ParamSpec
 from .layers import (BatchNorm, Conv1d, Conv2d, Dropout, Embedding, GRU,
                      GRUCell, GraphAttention, LSTM, LSTMCell, LayerNorm,
@@ -28,5 +31,5 @@ __all__ = [
     "MultiHeadAttention", "GraphAttention",
     "LayerNorm", "BatchNorm", "Embedding", "Dropout",
     "functional", "init", "losses", "optim", "checkpoint", "profiler",
-    "summary", "gradcheck", "kernels",
+    "summary", "gradcheck", "kernels", "heap",
 ]

@@ -88,6 +88,8 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
+            if not t.requires_grad:
+                continue
             index = [slice(None)] * g.ndim
             index[axis] = slice(start, stop)
             t._accumulate(g[tuple(index)])
@@ -101,7 +103,8 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         for i, t in enumerate(tensors):
-            t._accumulate(np.take(g, i, axis=axis))
+            if t.requires_grad:
+                t._accumulate(np.take(g, i, axis=axis))
 
     return Tensor._make(out_data, tuple(tensors), backward, "stack")
 
@@ -175,8 +178,10 @@ def where(condition, a: Tensor, b: Tensor) -> Tensor:
     out_data = np.where(condition, a.data, b.data)
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(unbroadcast(np.where(condition, g, 0.0), a.shape))
-        b._accumulate(unbroadcast(np.where(condition, 0.0, g), b.shape))
+        if a.requires_grad:
+            a._accumulate(unbroadcast(np.where(condition, g, 0.0), a.shape))
+        if b.requires_grad:
+            b._accumulate(unbroadcast(np.where(condition, 0.0, g), b.shape))
 
     return Tensor._make(out_data, (a, b), backward, "where")
 
@@ -203,8 +208,12 @@ def einsum(subscripts: str, a: Tensor, b: Tensor) -> Tensor:
     out_data = _kernels.einsum(subscripts, a.data, b.data)
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(_kernels.einsum(f"{out_sub},{b_sub}->{a_sub}", g, b.data))
-        b._accumulate(_kernels.einsum(f"{out_sub},{a_sub}->{b_sub}", g, a.data))
+        if a.requires_grad:
+            a._accumulate(_kernels.einsum(f"{out_sub},{b_sub}->{a_sub}", g,
+                                          b.data))
+        if b.requires_grad:
+            b._accumulate(_kernels.einsum(f"{out_sub},{a_sub}->{b_sub}", g,
+                                          a.data))
 
     return Tensor._make(out_data, (a, b), backward, "einsum")
 
@@ -287,11 +296,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     def backward(g: np.ndarray) -> None:
         with span("kernel/conv2d_backward", batch=batch, kernel=(kh, kw)):
             g_mat = g.reshape(batch, c_out, -1)              # (B, Cout, L)
-            # weight grad
-            gw = _kernels.conv_weight_grad_contract(g_mat, cols_mat)
-            weight._accumulate(gw.reshape(weight.shape))
-            if bias is not None:
+            if weight.requires_grad:
+                gw = _kernels.conv_weight_grad_contract(g_mat, cols_mat)
+                weight._accumulate(gw.reshape(weight.shape))
+            if bias is not None and bias.requires_grad:
                 bias._accumulate(g_mat.sum(axis=(0, 2)))
+            if not x.requires_grad:
+                # Raw data input: no column GEMM, no col2im scatter.
+                return
             # input grad: scatter columns back
             g_cols = _kernels.conv_col_grad_contract(w_mat, g_mat)
             g_cols = g_cols.reshape(batch, c_in, kh * kw, -1)

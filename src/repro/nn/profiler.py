@@ -5,7 +5,10 @@ forward/backward region in :func:`profile` and get, per op type, the number
 of graph nodes created and the number of output elements produced — e.g.
 DCRNN's cost shows up as thousands of small matmul/sigmoid nodes from its
 24 sequential GRU steps, while Graph-WaveNet concentrates work in a few
-large conv2d nodes.  The report also records the block's wall-clock time.
+large conv2d nodes.  The report also records the block's wall-clock time
+and, from ``getrusage``, the minor page faults and kernel (``sys``) time
+it paid: a step that re-faults freshly mapped buffers shows up there, not
+in the census (see :mod:`repro.nn.heap`).
 
 Element counts are a workload proxy, not a timer: per-op wall time cannot
 be attributed exactly without instrumenting every kernel, but node counts ×
@@ -20,6 +23,11 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .tensor import Tensor
+
+try:
+    import resource
+except ImportError:          # not on Windows
+    resource = None
 
 __all__ = ["OpStats", "ProfileReport", "profile"]
 
@@ -38,6 +46,9 @@ class ProfileReport:
 
     ops: dict[str, OpStats] = field(default_factory=dict)
     wall_seconds: float = 0.0
+    #: ``getrusage`` deltas over the block; ``None`` without ``resource``.
+    minor_faults: int | None = None
+    system_seconds: float | None = None
 
     @property
     def total_nodes(self) -> int:
@@ -56,8 +67,11 @@ class ProfileReport:
         return ranked[:n]
 
     def render(self, n: int = 10) -> str:
-        lines = [f"wall time: {self.wall_seconds:.4f}s, "
-                 f"{self.total_nodes} graph nodes, "
+        header = f"wall time: {self.wall_seconds:.4f}s"
+        if self.minor_faults is not None:
+            header += (f" (sys {self.system_seconds:.4f}s, "
+                       f"{self.minor_faults:,} minor faults)")
+        lines = [f"{header}, {self.total_nodes} graph nodes, "
                  f"{self.total_elements:,} output elements"]
         lines.append(f"{'op':<14} {'nodes':>8} {'elements':>14} {'share':>7}")
         total = self.total_elements or 1
@@ -68,17 +82,27 @@ class ProfileReport:
         return "\n".join(lines)
 
 
+def _usage() -> tuple[int, float] | None:
+    """This process's (minor faults, system seconds) so far."""
+    if resource is None:
+        return None
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_minflt, usage.ru_stime
+
+
 @contextlib.contextmanager
 def profile():
     """Record every Tensor op created inside the block.
 
-    Yields a :class:`ProfileReport` populated live; ``wall_seconds`` is
-    final once the block exits.  Works under ``no_grad`` too (construction
-    still flows through ``Tensor._make``).
+    Yields a :class:`ProfileReport` populated live; ``wall_seconds``,
+    ``minor_faults`` and ``system_seconds`` are final once the block
+    exits.  Works under ``no_grad`` too (construction still flows through
+    ``Tensor._make``).
     """
     report = ProfileReport(ops=defaultdict(OpStats))
     raw = Tensor.__dict__["_make"]
     original_make = raw.__func__ if isinstance(raw, staticmethod) else raw
+    usage = _usage()
     start = time.perf_counter()
 
     def counting_make(data, parents, backward, op):
@@ -94,4 +118,8 @@ def profile():
     finally:
         Tensor._make = staticmethod(original_make)
         report.wall_seconds = time.perf_counter() - start
+        if usage is not None:
+            faults, system = _usage()
+            report.minor_faults = faults - usage[0]
+            report.system_seconds = system - usage[1]
         report.ops = dict(report.ops)

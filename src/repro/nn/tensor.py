@@ -117,6 +117,29 @@ def _normalize_pad_width(pad_width, ndim: int) -> tuple[tuple[int, int], ...]:
     return tuple((int(before), int(after)) for before, after in pairs)
 
 
+def _matmul_grad_a(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gradient of ``a @ b`` with respect to ``a`` (numpy ``@`` rules)."""
+    if a.ndim == 1 and b.ndim == 1:
+        return g * b
+    if a.ndim == 1:  # (k,) @ (..., k, n) -> (..., n)
+        return unbroadcast((g[..., None, :] * b).sum(axis=-1), a.shape)
+    if b.ndim == 1:  # (..., m, k) @ (k,) -> (..., m)
+        return unbroadcast(g[..., :, None] * b, a.shape)
+    return unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape)
+
+
+def _matmul_grad_b(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gradient of ``a @ b`` with respect to ``b`` (numpy ``@`` rules)."""
+    if a.ndim == 1 and b.ndim == 1:
+        return g * a
+    if a.ndim == 1:
+        return unbroadcast(a[:, None] * g[..., None, :], b.shape)
+    if b.ndim == 1:
+        return unbroadcast((a * g[..., :, None]).sum(
+            axis=tuple(range(a.ndim - 1))), b.shape)
+    return unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
+
+
 def _freed_backward(grad: np.ndarray) -> None:
     """Placeholder closure installed by ``backward(free_graph=True)``."""
     raise RuntimeError(
@@ -302,8 +325,10 @@ class Tensor:
         out_data = self.data + other.data
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(unbroadcast(g, self.shape))
-            other._accumulate(unbroadcast(g, other.shape))
+            if self.requires_grad:
+                self._accumulate(unbroadcast(g, self.shape))
+            if other.requires_grad:
+                other._accumulate(unbroadcast(g, other.shape))
 
         return self._make(out_data, (self, other), backward, "add")
 
@@ -314,8 +339,10 @@ class Tensor:
         out_data = self.data - other.data
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(unbroadcast(g, self.shape))
-            other._accumulate(unbroadcast(-g, other.shape))
+            if self.requires_grad:
+                self._accumulate(unbroadcast(g, self.shape))
+            if other.requires_grad:
+                other._accumulate(unbroadcast(-g, other.shape))
 
         return self._make(out_data, (self, other), backward, "sub")
 
@@ -327,8 +354,10 @@ class Tensor:
         out_data = self.data * other.data
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(unbroadcast(g * other.data, self.shape))
-            other._accumulate(unbroadcast(g * self.data, other.shape))
+            if self.requires_grad:
+                self._accumulate(unbroadcast(g * other.data, self.shape))
+            if other.requires_grad:
+                other._accumulate(unbroadcast(g * self.data, other.shape))
 
         return self._make(out_data, (self, other), backward, "mul")
 
@@ -339,9 +368,11 @@ class Tensor:
         out_data = self.data / other.data
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(unbroadcast(g / other.data, self.shape))
-            other._accumulate(
-                unbroadcast(-g * self.data / (other.data ** 2), other.shape))
+            if self.requires_grad:
+                self._accumulate(unbroadcast(g / other.data, self.shape))
+            if other.requires_grad:
+                other._accumulate(unbroadcast(
+                    -g * self.data / (other.data ** 2), other.shape))
 
         return self._make(out_data, (self, other), backward, "div")
 
@@ -374,23 +405,10 @@ class Tensor:
         a, b = self.data, other.data
 
         def backward(g: np.ndarray) -> None:
-            if a.ndim == 1 and b.ndim == 1:
-                self._accumulate(g * b)
-                other._accumulate(g * a)
-                return
-            if a.ndim == 1:  # (k,) @ (..., k, n) -> (..., n)
-                ga = (g[..., None, :] * b).sum(axis=-1)
-                self._accumulate(unbroadcast(ga, a.shape))
-                other._accumulate(unbroadcast(a[:, None] * g[..., None, :], b.shape))
-                return
-            if b.ndim == 1:  # (..., m, k) @ (k,) -> (..., m)
-                self._accumulate(unbroadcast(g[..., :, None] * b, a.shape))
-                other._accumulate(unbroadcast((a * g[..., :, None]).sum(axis=tuple(range(a.ndim - 1))), b.shape))
-                return
-            ga = g @ np.swapaxes(b, -1, -2)
-            gb = np.swapaxes(a, -1, -2) @ g
-            self._accumulate(unbroadcast(ga, a.shape))
-            other._accumulate(unbroadcast(gb, b.shape))
+            if self.requires_grad:
+                self._accumulate(_matmul_grad_a(g, a, b))
+            if other.requires_grad:
+                other._accumulate(_matmul_grad_b(g, a, b))
 
         return self._make(out_data, (self, other), backward, "matmul")
 
@@ -524,8 +542,10 @@ class Tensor:
         take_self = self.data >= other.data
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(unbroadcast(g * take_self, self.shape))
-            other._accumulate(unbroadcast(g * ~take_self, other.shape))
+            if self.requires_grad:
+                self._accumulate(unbroadcast(g * take_self, self.shape))
+            if other.requires_grad:
+                other._accumulate(unbroadcast(g * ~take_self, other.shape))
 
         return self._make(out_data, (self, other), backward, "maximum")
 

@@ -1,8 +1,8 @@
 """`repro.train` — the unified training engine and its callback protocol.
 
 One :class:`Engine` owns the epoch/batch loop for every training entry
-point in the benchmark (``train_model``, ``run_experiment``, rolling-origin
-cross-validation, sweeps, the benchmark matrix).  Cross-cutting concerns —
+point in the benchmark (``train_model``, ``run_experiment``, sweeps, the
+benchmark matrix).  Cross-cutting concerns —
 gradient clipping, LR scheduling, telemetry, early stopping with
 best-state restore, checkpointing — are :class:`Callback` objects hooked
 into the loop; the default stack reproduces the legacy ``train_model``

@@ -2,8 +2,7 @@
 
 :class:`Engine` owns the epoch/batch loop that every training entry point
 (:func:`repro.core.train_model`, :func:`repro.core.run_experiment`,
-rolling-origin cross-validation, hyper-parameter sweeps, the benchmark
-matrix) routes through.  The loop itself is deliberately small: compute
+hyper-parameter sweeps, the benchmark matrix) routes through.  The loop itself is deliberately small: compute
 the loss, backward, step — everything else (gradient clipping, LR
 scheduling, telemetry, early stopping, checkpointing) is a
 :class:`~repro.train.callbacks.Callback` hooked into well-defined points.

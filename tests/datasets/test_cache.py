@@ -5,8 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.datasets import (CACHE_FORMAT_VERSION, DatasetCache, WindowConfig,
-                            cache_enabled, dataset_cache_key,
+from repro.datasets import (CACHE_FORMAT_VERSION, CacheEntry, DatasetCache,
+                            WindowConfig, cache_enabled, dataset_cache_key,
                             default_cache_dir, load_dataset)
 from repro.datasets.catalog import DATASETS
 from repro.datasets.generator import SimulationConfig
@@ -191,3 +191,82 @@ class TestCacheStore:
         (entry,) = store.entries()
         assert dataclasses.is_dataclass(entry)
         assert store.path_for(entry.name, entry.scale, entry.key) == entry.path
+
+
+class TestFaultInjection:
+    def test_truncated_entry_self_heals(self, cache_dir):
+        fresh = load_dataset("metr-la", scale="ci", cache=False)
+        load_dataset("metr-la", scale="ci")
+        (entry,) = DatasetCache().entries()
+        payload = entry.path.read_bytes()
+        entry.path.write_bytes(payload[:len(payload) // 2])
+        sink = MemorySink()
+        with bus_scope(EventBus([sink])):
+            rebuilt = load_dataset("metr-la", scale="ci")
+            again = load_dataset("metr-la", scale="ci")
+        assert kinds(sink) == ["cache_miss", "dataset_build", "cache_hit"]
+        for world in (rebuilt, again):
+            np.testing.assert_array_equal(world.supervised.series,
+                                          fresh.supervised.series)
+        (entry,) = DatasetCache().entries()
+        assert entry.size_bytes == len(payload)
+
+    def test_format_version_mismatch_is_a_miss(self, cache_dir, monkeypatch):
+        import repro.datasets.cache as cache_module
+
+        load_dataset("metr-la", scale="ci")
+        (old,) = DatasetCache().entries()
+        monkeypatch.setattr(cache_module, "CACHE_FORMAT_VERSION",
+                            CACHE_FORMAT_VERSION + 1)
+        sink = MemorySink()
+        with bus_scope(EventBus([sink])):
+            load_dataset("metr-la", scale="ci")
+        assert kinds(sink) == ["cache_miss", "dataset_build"]
+        new = next(e for e in DatasetCache().entries() if e.key != old.key)
+        # An old-version archive found under the new key (copied caches,
+        # a key collision) is a miss, never served as the new world.
+        new.path.write_bytes(old.path.read_bytes())
+        assert DatasetCache().get(new.name, new.scale, new.key) is None
+        with bus_scope(EventBus([sink])):
+            load_dataset("metr-la", scale="ci")
+        assert kinds(sink)[2:] == ["cache_miss", "dataset_build"]
+
+    def test_racing_writers_leave_one_valid_entry(self, cache_dir):
+        import sys
+        import threading
+
+        world = load_dataset("metr-la", scale="ci", cache=False)
+        store, key = DatasetCache(), "0123456789abcdef"
+        start = threading.Barrier(4)
+
+        def write():
+            start.wait(timeout=30)
+            store.put(world, key)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            writers = [threading.Thread(target=write) for _ in range(4)]
+            for writer in writers:
+                writer.start()
+            for writer in writers:
+                writer.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(writer.is_alive() for writer in writers)
+        assert [p.name for p in cache_dir.iterdir()] == [
+            store.path_for("metr-la", "ci", key).name]
+        (entry,) = store.entries()
+        cached = store.get(entry.name, entry.scale, entry.key)
+        np.testing.assert_array_equal(cached.supervised.series,
+                                      world.supervised.series)
+
+    @pytest.mark.parametrize("name", ["tmpab_c_d1.npz", "tmp_x__.npz",
+                                      "metr-la_ci_notahexkey.npz"])
+    def test_non_entry_names_are_not_entries(self, cache_dir, name):
+        # mkstemp names draw from [a-z0-9_], so an in-flight temp file
+        # can look like name_scale_key; only a 16-hex-digit key counts.
+        path = cache_dir / name
+        cache_dir.mkdir()
+        path.write_bytes(b"xx")
+        assert CacheEntry.from_path(path) is None

@@ -235,3 +235,46 @@ def test_einsum_matches_numpy_forward_and_gradients(gemm, data):
     _assert_close(tb.grad, np.einsum(grad_b, g, a),
                   np.einsum(grad_b, abs(g), abs(a)))
     assert ta.grad.shape == a.shape and tb.grad.shape == b.shape
+
+
+# --------------------------------------------------------------------- #
+# im2col / col2im adjoint identity
+# --------------------------------------------------------------------- #
+@st.composite
+def conv_geometries(draw):
+    """Random kernel, stride, dilation and zero padding with ≥ 1 output."""
+    kernel = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    stride = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    dilation = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    padding = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+    spatial = []
+    for k, d, p in zip(kernel, dilation, padding):
+        least = max(1, d * (k - 1) + 1 - 2 * p)
+        spatial.append(draw(st.integers(least, least + 5)))
+    shape = (draw(st.integers(1, 2)), draw(st.integers(1, 3)), *spatial)
+    return shape, kernel, stride, dilation, padding
+
+
+@pytest.mark.parametrize("path", ["strided", "bincount"])
+@given(geometry=conv_geometries(), seed=st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_col2im_is_the_adjoint_of_im2col(path, geometry, seed):
+    """<im2col(pad(x)), c> == <x, unpad(col2im(c))> for either scatter."""
+    shape, kernel, stride, dilation, (ph, pw) = geometry
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=shape)
+    padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    cols, _, _ = K.im2col(padded, kernel, stride, dilation)
+    c = rng.normal(size=cols.shape)
+    # A threshold of 0 sends every kernel to the flat bincount scatter.
+    threshold = {"strided": K._BINCOUNT_TAP_THRESHOLD, "bincount": 0}[path]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(K, "_BINCOUNT_TAP_THRESHOLD", threshold)
+        scattered = K.col2im(c.reshape(shape[0], shape[1],
+                                       kernel[0] * kernel[1], -1),
+                             padded.shape, kernel, stride, dilation)
+    height, width = shape[2:]
+    lhs = np.vdot(cols, c)
+    rhs = np.vdot(x, scattered[:, :, ph:ph + height, pw:pw + width])
+    bound = np.vdot(abs(cols), abs(c))
+    assert abs(lhs - rhs) <= 1e-10 * max(bound, 1e-300)

@@ -31,6 +31,16 @@ class TestProfile:
             _ = Tensor(np.ones(10)) + 1
         assert report.wall_seconds > 0
 
+    def test_fault_and_system_time_deltas(self):
+        pytest.importorskip("resource")
+        with profile() as report:
+            arrays = [np.ones(2 * 1024 * 1024 // 8) for _ in range(8)]
+            del arrays
+        assert isinstance(report.minor_faults, int)
+        assert report.minor_faults >= 0
+        assert report.system_seconds >= 0.0
+        assert "minor faults" in report.render()
+
     def test_restores_make_after_block(self):
         original = Tensor.__dict__["_make"].__func__
         with profile():
