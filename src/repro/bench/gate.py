@@ -13,6 +13,10 @@ not.  Observability-overhead cases (the ``obs`` suite's
 ``overhead_pct`` meta) are instead held to an absolute budget: tracing
 an unobserved training step may cost at most 2%.
 
+Each suite re-run by :func:`run_and_check` gets a fresh interpreter
+(``python -m repro bench <suite> --json``): a suite timed after others in
+one process reads the heap and caches they left behind.
+
 Entry points: ``repro bench check`` on the CLI, the
 ``REPRO_BENCH_CHECK=1`` knob in ``benchmarks/conftest.py``, and
 :func:`check_records` / :func:`run_and_check` from Python.
@@ -20,17 +24,27 @@ Entry points: ``repro bench check`` on the CLI, the
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from . import SUITES, run
-from .harness import load_bench_record, timings_to_record
+from ..obs import get_bus
+from ..obs.trace import read_trace
+from . import SUITES
+from .harness import load_bench_record
 
 __all__ = [
     "DEFAULT_TOLERANCE", "OVERHEAD_BUDGET_PCT", "GateFinding", "GateReport",
-    "find_baselines", "check_records", "run_and_check",
+    "find_baselines", "check_records", "run_in_subprocess", "run_and_check",
 ]
+
+# The directory holding the ``repro`` package, so the child interpreter
+# imports this very checkout whether or not the package is installed.
+_SOURCE_ROOT = str(Path(__file__).resolve().parents[2])
 
 #: Allowed relative decay of a case's speedup before the gate fails.
 DEFAULT_TOLERANCE = 0.25
@@ -181,18 +195,49 @@ def check_records(current: dict[str, Any], baseline: dict[str, Any], *,
     return report
 
 
+def run_in_subprocess(suite: str, mode: str, bus=None) -> dict[str, Any]:
+    """Run ``suite`` in a fresh interpreter and return its bench record.
+
+    The child runs ``python -m repro bench <suite> --mode <mode> --json
+    ... --trace ...``; its ``bench_result`` events are replayed on ``bus``
+    (the ambient bus when None).  A child that fails raises
+    ``RuntimeError`` carrying the tail of its stderr.
+    """
+    if suite not in SUITES:
+        raise ValueError(f"unknown bench suite {suite!r}; "
+                         f"expected one of {tuple(SUITES)}")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (_SOURCE_ROOT, env.get("PYTHONPATH"))))
+    with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
+        record_path = Path(tmp) / f"BENCH_{suite}.json"
+        trace_path = Path(tmp) / "trace.jsonl"
+        child = subprocess.run(
+            [sys.executable, "-m", "repro", "bench", suite, "--mode", mode,
+             "--json", str(record_path), "--trace", str(trace_path)],
+            env=env, capture_output=True, text=True)
+        if child.returncode != 0:
+            raise RuntimeError(
+                f"bench {suite} exited with status {child.returncode}: "
+                f"{child.stderr.strip()[-2000:]}")
+        bus = bus if bus is not None else get_bus()
+        for event in read_trace(trace_path):
+            bus.emit(event)
+        return load_bench_record(record_path)
+
+
 def run_and_check(suite: str, baseline_path: str | Path, *,
                   mode: str | None = None,
                   tolerance: float = DEFAULT_TOLERANCE,
                   bus=None) -> GateReport:
-    """Re-run ``suite`` and gate it against the baseline at ``baseline_path``.
+    """Re-run ``suite`` in a fresh interpreter and gate it against the
+    baseline at ``baseline_path``.
 
     ``mode`` defaults to the baseline's recorded mode so the comparison
-    is apples-to-apples.
+    is apples-to-apples.  See :func:`run_in_subprocess` for ``bus``.
     """
     _check_tolerance(tolerance)          # before minutes of suite run
     baseline = load_bench_record(baseline_path)
     mode = mode if mode is not None else str(baseline["mode"])
-    timings = run(suite, mode, bus=bus)
-    current = timings_to_record(timings, mode, suite=suite)
+    current = run_in_subprocess(suite, mode, bus=bus)
     return check_records(current, baseline, tolerance=tolerance)

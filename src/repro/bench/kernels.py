@@ -5,15 +5,16 @@ framework, which is only honest if the shared kernels are near the numpy
 speed-of-light (engine overhead would otherwise dominate the architecture
 differences).  This module times the hot kernels both ways in one process
 — the pre-optimisation reference paths (``np.add.at`` scatters, uncached
-im2col indices, per-slice gradient buffers) against the current fast paths
-— and reports the speedups that seed the repo's perf trajectory.
+im2col index gathers, per-slice gradient buffers) against the current fast
+paths — and reports the speedups that seed the repo's perf trajectory.
 
 Cases
 -----
 - ``conv2d_backward``     backward through a ``(1, k)`` temporal conv (the
   kernel all four TCN models use) — dominated by the col2im scatter
 - ``conv2d_backward_strided`` strided + dilated 3x3 conv backward
-- ``conv2d_forward``      repeated forward passes (im2col index cache)
+- ``conv2d_forward``      repeated forward passes (strided im2col against
+  the per-call index-grid gather)
 - ``col2im``              the raw scatter kernel in isolation
 - ``split_backward``      gated-activation style split + backward
 - ``unbind_backward``     T per-step views + backward (RNN input pattern)

@@ -373,7 +373,7 @@ def _cmd_bench_check(args: argparse.Namespace) -> int:
             print()
             passed = passed and report.passed
         return 0 if passed else 1
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"bench check: {exc}", file=sys.stderr)
         return 2
 

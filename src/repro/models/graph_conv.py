@@ -15,7 +15,17 @@ from ..nn import init
 from ..nn.module import Module, Parameter
 from ..nn.tensor import Tensor
 
-__all__ = ["ChebConv", "DiffusionConv", "diffusion_supports", "cheb_supports"]
+__all__ = ["ChebConv", "DiffusionConv", "diffusion_supports", "cheb_supports",
+           "identity_flags"]
+
+
+def identity_flags(supports) -> tuple[bool, ...]:
+    """Which supports are exactly the identity (propagating by one is a no-op).
+
+    Layers check once, when they are built: ``I @ x`` is ``x`` and its
+    gradient ``Iᵀ @ g`` is ``g``, so an identity support needs no matmul.
+    """
+    return tuple(bool(np.array_equal(s, np.eye(s.shape[0]))) for s in supports)
 
 
 def cheb_supports(adjacency: np.ndarray, order: int) -> list[np.ndarray]:
@@ -42,7 +52,9 @@ class _SupportConv(Module):
     """Graph convolution over a fixed list of support matrices.
 
     Input ``(..., N, C_in)`` → output ``(..., N, C_out)``:
-    ``out = sum_k (S_k X) W_k + b``.
+    ``out = sum_k (S_k X) W_k + b``.  Supports that are exactly the
+    identity (T₀ of the Chebyshev basis, the first diffusion support) skip
+    their propagation matmul.
     """
 
     def __init__(self, supports: list[np.ndarray], in_channels: int,
@@ -55,6 +67,7 @@ class _SupportConv(Module):
         self.out_channels = out_channels
         stacked = np.stack([np.asarray(s, dtype=float) for s in supports])
         self.register_buffer("supports", stacked)       # (K, N, N)
+        self._identity = identity_flags(stacked)
         self.weight = Parameter(init.xavier_uniform(
             (self.num_supports, in_channels, out_channels), rng))
         self.bias = Parameter(np.zeros(out_channels))
@@ -66,7 +79,8 @@ class _SupportConv(Module):
                 f"{self.supports.shape[-1]}")
         out = None
         for k in range(self.num_supports):
-            propagated = Tensor(self.supports[k]).matmul(x)   # (..., N, Cin)
+            propagated = (x if self._identity[k]               # (..., N, Cin)
+                          else Tensor(self.supports[k]).matmul(x))
             term = propagated.matmul(self.weight[k])
             out = term if out is None else out + term
         if extra_supports:

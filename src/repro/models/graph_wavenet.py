@@ -18,7 +18,7 @@ from ..nn.layers import Conv2d
 from ..nn.module import Module, ModuleList, Parameter
 from ..nn.tensor import Tensor
 from .base import TrafficModel, register_model
-from .graph_conv import diffusion_supports
+from .graph_conv import diffusion_supports, identity_flags
 
 __all__ = ["GraphWaveNet", "GWNetGraphConv"]
 
@@ -27,7 +27,8 @@ class GWNetGraphConv(Module):
     """Diffusion conv over fixed supports + the learned adaptive adjacency.
 
     Input/output ``(B, C, N, T)``.  Propagated signals for every support are
-    concatenated on the channel axis and mixed by a 1×1 convolution.
+    concatenated on the channel axis and mixed by a 1×1 convolution.  The
+    identity support (the first diffusion step) passes ``x`` through.
     """
 
     def __init__(self, adjacency: np.ndarray, in_channels: int,
@@ -36,6 +37,7 @@ class GWNetGraphConv(Module):
         super().__init__()
         supports = diffusion_supports(adjacency, max_step)
         self.register_buffer("supports", np.stack(supports))
+        self._identity = identity_flags(supports)
         self.adaptive = adaptive
         num_nodes = adjacency.shape[0]
         if adaptive:
@@ -53,9 +55,10 @@ class GWNetGraphConv(Module):
         return F.softmax(scores, axis=1)
 
     def forward(self, x: Tensor) -> Tensor:
-        propagated = []
-        for k in range(self.supports.shape[0]):
-            propagated.append(F.einsum("nm,bcmt->bcnt", Tensor(self.supports[k]), x))
+        propagated = [x if identity else
+                      F.einsum("nm,bcmt->bcnt", Tensor(support), x)
+                      for support, identity in zip(self.supports,
+                                                   self._identity)]
         if self.adaptive:
             propagated.append(
                 F.einsum("nm,bcmt->bcnt", self.adaptive_adjacency(), x))

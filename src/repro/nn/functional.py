@@ -245,8 +245,8 @@ def huber(x: Tensor, delta: float = 1.0) -> Tensor:
 
 
 # --------------------------------------------------------------------- #
-# convolution (im2col — see repro.nn.kernels for the index cache and the
-# fast col2im scatter)
+# convolution (im2col — see repro.nn.kernels for the strided gather and
+# the fast col2im scatter)
 # --------------------------------------------------------------------- #
 def unfold2d(x_data: np.ndarray, kernel: tuple[int, int],
              stride: tuple[int, int] = (1, 1),
@@ -264,9 +264,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     ``x``: (B, C_in, H, W); ``weight``: (C_out, C_in, kh, kw);
     ``bias``: (C_out,) or None.  Padding is symmetric zero padding.
 
-    The im2col index grids are cached per geometry, the three matrix
-    contractions run on BLAS (:func:`repro.nn.kernels.conv_forward_contract`
-    and friends), and the backward input scatter uses the vectorised
+    The patches come from :func:`repro.nn.kernels.im2col`'s strided window
+    view (a free view for 1×1 kernels), the three matrix contractions run
+    on BLAS (:func:`repro.nn.kernels.conv_forward_contract` and friends),
+    and the backward input scatter uses the vectorised
     :func:`repro.nn.kernels.col2im` (strided slice adds / bincount) rather
     than ``np.add.at``.
     """
@@ -281,14 +282,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         raise ValueError(f"conv2d channel mismatch: input {c_in} vs weight {c_in_w}")
 
     with span("kernel/conv2d", batch=batch, kernel=(kh, kw)):
-        rows, cols, out_h, out_w = _kernels.col_indices(
-            height, width, (kh, kw), stride, dilation)
-        patches = x.data[:, :, rows, cols]                    # (B, C, K, L)
-        cols_mat = patches.reshape(batch, c_in * kh * kw, -1)  # (B, CK, L)
+        cols_mat, out_h, out_w = _kernels.im2col(          # (B, CK, L)
+            x.data, (kh, kw), stride, dilation)
         w_mat = weight.data.reshape(c_out, -1)                # (Cout, CK)
         out_data = _kernels.conv_forward_contract(w_mat, cols_mat)
         if bias is not None:
-            out_data = out_data + bias.data[None, :, None]
+            out_data += bias.data[None, :, None]      # a fresh GEMM product
         out_data = out_data.reshape(batch, c_out, out_h, out_w)
 
     parents = (x, weight) if bias is None else (x, weight, bias)

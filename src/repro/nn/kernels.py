@@ -1,4 +1,4 @@
-"""Shared kernel machinery: cached im2col, fast col2im, BLAS contractions.
+"""Shared kernel machinery: strided im2col, fast col2im, BLAS contractions.
 
 Every conv-based model in the zoo (STGCN, Graph-WaveNet, ASTGCN, STSGCN)
 funnels through :func:`repro.nn.functional.conv2d`, and every graph
@@ -7,9 +7,15 @@ propagation in Graph-WaveNet, STG2Seq, ASTGCN and ST-MetaNet through
 floor for every Table III-style cost comparison.  This module keeps that
 floor close to the numpy speed-of-light:
 
-- :func:`col_indices` builds the im2col row/column index grids once per
-  geometry ``(H, W, kernel, stride, dilation)`` and caches them (the grids
-  are read-only so cache hits are safe to share between calls).
+- :func:`im2col` reads every patch through one read-only strided window
+  view ``(B, C, kh, kw, out_h, out_w)`` of the input and reshapes it to
+  ``(B, C*kh*kw, L)``: one sequential copy, or none at all for a 1×1
+  stride-1 kernel on a contiguous input.
+- :func:`col_indices` builds the row/column index grids once per geometry
+  ``(H, W, kernel, stride, dilation)`` and caches them (the grids are
+  read-only so cache hits are safe to share between calls); the
+  reference im2col gathers with them and the many-tap col2im scatters
+  with them.
 - :func:`col2im` scatters column gradients back to the input *without*
   ``np.add.at``: for each of the ``kh*kw`` kernel taps, the output grid
   maps to a strided, overlap-free view of the input, so the scatter is a
@@ -22,7 +28,7 @@ floor close to the numpy speed-of-light:
   the kernel benchmarks measure speedups against.
 - :func:`conv_forward_contract`, :func:`conv_weight_grad_contract`, and
   :func:`conv_col_grad_contract` route the three conv contractions through
-  BLAS (``matmul``/``tensordot``) instead of ``np.einsum``'s generic
+  BLAS (``matmul``) instead of ``np.einsum``'s generic
   sum-of-products loops; the reference mode keeps the einsum paths.
 - :func:`einsum` runs a two-operand contraction as one batched GEMM
   (``transpose -> reshape -> np.matmul -> reshape -> transpose``) from a
@@ -32,7 +38,8 @@ floor close to the numpy speed-of-light:
   The choice reads only the operand shapes; there is no reference mode.
 
 The :func:`use_reference_kernels` context switches the whole engine (conv
-scatter, index caching, basic-index gradients, ``unbind``/``split`` views)
+gather and scatter, index caching, basic-index gradients,
+``unbind``/``split`` views)
 back to the pre-optimisation reference paths so a single process can time
 "before" and "after" honestly — see ``repro bench kernels`` and
 ``docs/performance.md``.
@@ -90,8 +97,7 @@ def _build_col_indices(height: int, width: int, kh: int, kw: int,
                        stride: tuple[int, int], dilation: tuple[int, int]):
     sh, sw = stride
     dh, dw = dilation
-    out_h = (height - dh * (kh - 1) - 1) // sh + 1
-    out_w = (width - dw * (kw - 1) - 1) // sw + 1
+    out_h, out_w = _out_grid(height, width, kh, kw, stride, dilation)
     i0 = dh * np.repeat(np.arange(kh), kw)
     j0 = dw * np.tile(np.arange(kw), kh)
     i1 = sh * np.repeat(np.arange(out_h), out_w)
@@ -148,13 +154,30 @@ def clear_col_indices_cache() -> None:
 def im2col(x_data: np.ndarray, kernel: tuple[int, int],
            stride: tuple[int, int] = (1, 1),
            dilation: tuple[int, int] = (1, 1)):
-    """Gather patches: ``(B, C, H, W) -> (B, C*kh*kw, L)`` plus out shape."""
+    """Gather patches: ``(B, C, H, W) -> (B, C*kh*kw, L)`` plus out shape.
+
+    Row ``c*kh*kw + ki*kw + kj`` of a batch entry holds tap ``(ki, kj)`` of
+    channel ``c`` at every output position.  The patches come from one
+    read-only window view of ``x_data`` whose reshape is a single
+    sequential copy — or a view, for a 1×1 stride-1 kernel on a
+    contiguous input, so callers must not write into the result.  In
+    reference mode the patches are gathered with the index grids.
+    """
     batch, channels, height, width = x_data.shape
     kh, kw = kernel
-    rows, cols, out_h, out_w = col_indices(height, width, kernel,
-                                           stride, dilation)
-    patches = x_data[:, :, rows, cols]         # (B, C, kh*kw, L)
-    return patches.reshape(batch, channels * kh * kw, -1), out_h, out_w
+    if _REFERENCE:
+        rows, cols, out_h, out_w = col_indices(height, width, kernel,
+                                               stride, dilation)
+        patches = x_data[:, :, rows, cols]     # (B, C, kh*kw, L)
+        return patches.reshape(batch, channels * kh * kw, -1), out_h, out_w
+    out_h, out_w = _out_grid(height, width, kh, kw, stride, dilation)
+    s_b, s_c, s_h, s_w = x_data.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x_data, (batch, channels, kh, kw, out_h, out_w),
+        (s_b, s_c, dilation[0] * s_h, dilation[1] * s_w,
+         stride[0] * s_h, stride[1] * s_w), writeable=False)
+    return (windows.reshape(batch, channels * kh * kw, out_h * out_w),
+            out_h, out_w)
 
 
 def _out_grid(height: int, width: int, kh: int, kw: int,
@@ -241,10 +264,14 @@ def conv_forward_contract(w_mat: np.ndarray,
 
 def conv_weight_grad_contract(g_mat: np.ndarray,
                               cols_mat: np.ndarray) -> np.ndarray:
-    """``(B, Cout, L) x (B, CK, L) -> (Cout, CK)`` weight gradient."""
+    """``(B, Cout, L) x (B, CK, L) -> (Cout, CK)`` weight gradient.
+
+    One batched GEMM that reads both operands in their own layouts (no
+    transposed copies), then a sum over the batch.
+    """
     if _REFERENCE:
         return np.einsum("bol,bkl->ok", g_mat, cols_mat)
-    return np.tensordot(g_mat, cols_mat, axes=([0, 2], [0, 2]))
+    return np.matmul(g_mat, cols_mat.transpose(0, 2, 1)).sum(axis=0)
 
 
 def conv_col_grad_contract(w_mat: np.ndarray,

@@ -148,6 +148,25 @@ def _freed_backward(grad: np.ndarray) -> None:
         "again")
 
 
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic from one ``exp`` that cannot overflow.
+
+    With ``e = exp(-|x|)`` the result is ``1/(1+e)`` for ``x >= 0`` and
+    ``e/(1+e)`` below — the same ``exp`` arguments as the textbook
+    ``1/(1+exp(-x))`` / ``exp(x)/(1+exp(x))`` split, so the values are
+    bitwise those of that split.  Since ``e <= 1``, ``max(e, x >= 0)`` is
+    exactly the numerator (1 or ``e``); it selects without a branchy
+    ``np.where`` over a random sign mask.
+    """
+    e = np.abs(x, out=np.empty(np.shape(x), dtype=x.dtype))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.maximum(e, x >= 0)
+    e += 1.0
+    out /= e
+    return out
+
+
 def _as_array(value, dtype=None) -> np.ndarray:
     if isinstance(value, Tensor):
         raise TypeError("expected raw data, got Tensor")
@@ -170,7 +189,8 @@ class Tensor:
         Whether gradients should be accumulated into :attr:`grad`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "op")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
+                 "op", "_grad_borrowed")
 
     def __init__(self, data, requires_grad: bool = False, *, dtype=None,
                  _parents: tuple["Tensor", ...] = (),
@@ -178,6 +198,7 @@ class Tensor:
                  op: str = ""):
         self.data = _as_array(data, dtype)
         self.grad: np.ndarray | None = None
+        self._grad_borrowed = False
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
         self._parents = _parents if self.requires_grad else ()
         self._backward = _backward if self.requires_grad else None
@@ -242,13 +263,32 @@ class Tensor:
         return other if isinstance(other, Tensor) else Tensor(other)
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        """Add one gradient contribution into :attr:`grad`.
+
+        An interior node (one with a backward closure) *borrows* its first
+        contribution when it is a C-contiguous array of the node's dtype:
+        it stores the array itself, with no copy.  Nothing writes into a
+        borrowed buffer — a second contribution allocates ``grad + g``,
+        which the node owns (and adds into in place) from then on.
+        Leaves always copy their first contribution, since
+        ``clip_grad_norm`` and the optimizers scale and update leaf
+        gradients in place, and two leaves may be handed the same array.
+        """
         if not self.requires_grad:
             return
         if self.grad is None:
-            # Copy so later in-place += does not alias caller buffers.
-            self.grad = np.array(grad, dtype=self.data.dtype, copy=True)
+            dtype = self.data.dtype
+            self._grad_borrowed = (self._backward is not None
+                                   and type(grad) is np.ndarray
+                                   and grad.dtype == dtype
+                                   and grad.flags.c_contiguous)
+            self.grad = (grad if self._grad_borrowed
+                         else np.array(grad, dtype=dtype, copy=True))
+        elif self._grad_borrowed:
+            self.grad = (self.grad + grad).astype(self.data.dtype, copy=False)
+            self._grad_borrowed = False
         else:
-            # Reuse the existing buffer: one pass, no temporary.
+            # Reuse the owned buffer: one pass, no temporary.
             np.add(self.grad, grad, out=self.grad)
 
     # ------------------------------------------------------------------ #
@@ -274,7 +314,8 @@ class Tensor:
         if grad is None:
             grad = np.ones_like(self.data)
         else:
-            grad = np.asarray(grad, dtype=self.data.dtype)
+            # A copy: the tape never aliases the caller's array.
+            grad = np.array(grad, dtype=self.data.dtype, copy=True)
             if grad.shape != self.data.shape:
                 raise ValueError(
                     f"gradient shape {grad.shape} does not match tensor shape {self.shape}")
@@ -456,11 +497,7 @@ class Tensor:
         return self._make(out_data, (self,), backward, "tanh")
 
     def sigmoid(self) -> "Tensor":
-        # Numerically stable logistic.
-        out_data = np.where(self.data >= 0,
-                            1.0 / (1.0 + np.exp(-np.clip(self.data, -60, None))),
-                            np.exp(np.clip(self.data, None, 60)) /
-                            (1.0 + np.exp(np.clip(self.data, None, 60))))
+        out_data = _logistic(self.data)
 
         def backward(g: np.ndarray) -> None:
             self._accumulate(g * out_data * (1.0 - out_data))
@@ -499,11 +536,7 @@ class Tensor:
                             np.log1p(np.exp(np.clip(self.data, None, 30))))
 
         def backward(g: np.ndarray) -> None:
-            sig = np.where(self.data >= 0,
-                           1.0 / (1.0 + np.exp(-np.clip(self.data, -60, None))),
-                           np.exp(np.clip(self.data, None, 60))
-                           / (1.0 + np.exp(np.clip(self.data, None, 60))))
-            self._accumulate(g * sig)
+            self._accumulate(g * _logistic(self.data))
 
         return self._make(out_data, (self,), backward, "softplus")
 

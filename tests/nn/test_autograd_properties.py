@@ -278,3 +278,30 @@ def test_col2im_is_the_adjoint_of_im2col(path, geometry, seed):
     rhs = np.vdot(x, scattered[:, :, ph:ph + height, pw:pw + width])
     bound = np.vdot(abs(cols), abs(c))
     assert abs(lhs - rhs) <= 1e-10 * max(bound, 1e-300)
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "transposed", "time-sliced"])
+@given(geometry=conv_geometries(), seed=st.integers(0, 2 ** 31 - 1),
+       offset=st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_strided_im2col_equals_index_gather(layout, geometry, seed, offset):
+    """The strided window gather is bitwise the index-grid gather, for
+    contiguous inputs and for views with arbitrary strides."""
+    shape, kernel, stride, dilation, (ph, pw) = geometry
+    rng = np.random.default_rng(seed)
+    batch, channels, height, width = shape
+    padded = (batch, channels, height + 2 * ph, width + 2 * pw)
+    if layout == "contiguous":
+        x = rng.normal(size=padded)
+    elif layout == "transposed":        # (B, W, H, C) storage, read as NCHW
+        x = rng.normal(size=padded[::-1]).transpose(3, 2, 1, 0)
+    else:                               # x[:, :, :, d:], as Graph-WaveNet
+        x = rng.normal(size=padded[:3] + (padded[3] + offset,))
+        x = x[:, :, :, offset:]
+    assert x.shape == padded
+    cols, out_h, out_w = K.im2col(x, kernel, stride, dilation)
+    with K.use_reference_kernels():
+        expected, ref_h, ref_w = K.im2col(x, kernel, stride, dilation)
+    assert (out_h, out_w) == (ref_h, ref_w)
+    assert cols.shape == expected.shape
+    np.testing.assert_array_equal(cols, expected)

@@ -265,6 +265,34 @@ class TestElementwise:
         assert np.all(np.isfinite(out.data))
         np.testing.assert_allclose(out.data, [0.0, 1.0], atol=1e-12)
 
+    def test_sigmoid_matches_three_exp_formula_bitwise(self, recwarn):
+        grid = np.concatenate([
+            [0.0, -0.0, 60.0, -60.0, 700.0, -700.0, np.inf, -np.inf, np.nan,
+             5e-324, -5e-324, 709.8, -745.2],
+            np.linspace(-800.0, 800.0, 4001)])
+        clipped_low = np.clip(grid, -60, None)
+        clipped_high = np.clip(grid, None, 60)
+        old = np.where(grid >= 0, 1.0 / (1.0 + np.exp(-clipped_low)),
+                       np.exp(clipped_high) / (1.0 + np.exp(clipped_high)))
+        g = np.random.default_rng(0).normal(size=grid.shape)
+        old_grad = g * old * (1.0 - old)
+        recwarn.clear()
+        x = Tensor(grid, requires_grad=True)
+        out = x.sigmoid()
+        out.backward(g)
+        assert not [w for w in recwarn
+                    if issubclass(w.category, RuntimeWarning)]
+        # Bitwise wherever the value is a number; NaN stays NaN (the sign
+        # bit of a NaN carries no meaning).
+        number = ~np.isnan(old)
+        assert np.array_equal(np.isnan(out.data), ~number)
+        assert np.array_equal(out.data[number].view(np.int64),
+                              old[number].view(np.int64))
+        number = ~np.isnan(old_grad)
+        assert np.array_equal(np.isnan(x.grad), ~number)
+        assert np.array_equal(x.grad[number].view(np.int64),
+                              old_grad[number].view(np.int64))
+
 
 class TestReductions:
     def test_sum_axis_keepdims(self, rng):

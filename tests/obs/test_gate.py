@@ -8,7 +8,8 @@ import pytest
 
 from repro.bench import SUITES, load_bench_record, run
 from repro.bench.gate import (DEFAULT_TOLERANCE, check_records,
-                              find_baselines, run_and_check)
+                              find_baselines, run_and_check,
+                              run_in_subprocess)
 from repro.obs import EventBus, MemorySink
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
@@ -230,6 +231,26 @@ class TestRunAndCheck:
         report = run_and_check("obs", REPO_ROOT / "BENCH_obs.json",
                                mode="quick", bus=EventBus([MemorySink()]))
         assert report.skipped and report.passed
+
+    def test_suite_runs_in_a_fresh_interpreter(self, monkeypatch):
+        """The record comes from a child process — the in-process runner
+        is never called — and its events reach the caller's bus."""
+        import repro.bench
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("suite ran in the checking process")
+
+        monkeypatch.setattr(repro.bench, "run", refuse)
+        sink = MemorySink()
+        report = run_and_check("optim", REPO_ROOT / "BENCH_optim.json",
+                               mode="quick", bus=EventBus([sink]))
+        assert report.skipped and report.passed
+        names = [event.name for event in sink.events]
+        assert names == list(SUITES["optim"].cases)
+
+    def test_failed_child_raises_with_its_stderr(self):
+        with pytest.raises(RuntimeError, match="invalid choice"):
+            run_in_subprocess("optim", "no-such-mode")
 
     def test_unknown_suite_raises(self):
         with pytest.raises(ValueError, match="unknown bench suite"):
