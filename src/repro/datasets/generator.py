@@ -152,18 +152,24 @@ class TrafficSimulator:
             raise ValueError(
                 f"decay ({cfg.decay}) + coupling ({cfg.coupling}) must be < 1 "
                 "for stable congestion dynamics")
-        density = np.zeros((total_steps, n))
+        # One draw for every step's shocks: the same stream, in the same
+        # order, as a draw per step, and the generator ends in the same
+        # state for the ``missing`` draws below.  Each row of the buffer
+        # is overwritten by that step's density once its shock is read.
+        # maximum/minimum clip as np.clip does, without its per-call
+        # Python wrapper.
+        density = rng.normal(0.0, cfg.noise_std, size=(total_steps, n))
         state = demand[0].copy()
         noise = np.zeros(n)
         for t in range(total_steps):
-            noise = cfg.noise_ar * noise + rng.normal(0.0, cfg.noise_std, size=n)
+            noise = cfg.noise_ar * noise + density[t]
             neighbour_pressure = spillback @ state
             state = (cfg.decay * state
                      + cfg.coupling * neighbour_pressure
                      + feed * demand[t]
                      + incident_forcing[t])
-            state = np.clip(state, 0.0, 0.95)
-            density[t] = np.clip(state + noise, 0.0, 0.95)
+            state = np.minimum(np.maximum(state, 0.0), 0.95)
+            np.minimum(np.maximum(state + noise, 0.0), 0.95, out=density[t])
 
         speed = speed_from_density(density, self.network.free_flow_speed[None, :])
         flow = flow_from_density(density, self.network.capacity[None, :])

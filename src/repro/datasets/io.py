@@ -5,6 +5,12 @@ take a while to generate; persisting them lets the benchmark matrix reuse
 one world across model runs and lets users share exact datasets.  The
 content-addressed dataset cache (:mod:`repro.datasets.cache`) round-trips
 every built world through this module.
+
+Archives are written stored (``ZIP_STORED``, no deflate): simulated
+float64 deflates by only about 13%, while deflate made writes 30-40x and
+reads 5-6x slower (``docs/data.md`` §3).  The zip CRC-32 still checks
+every member on read.  ``np.load`` reads stored and deflated members
+alike, so archives written compressed load unchanged.
 """
 
 from __future__ import annotations
@@ -25,10 +31,13 @@ __all__ = ["save_dataset", "load_saved_dataset"]
 
 def save_dataset(dataset: LoadedDataset, path: str | Path, *,
                  cache_key: str | None = None) -> None:
-    """Persist a loaded dataset (simulation + graph) to one ``.npz`` file.
+    """Persist a loaded dataset (simulation + graph) to one uncompressed
+    ``.npz`` file.
 
-    The supervised windows are *not* stored — rebuilding them is a few
-    zero-copy sliding views under the lazy pipeline, while storing them
+    The members are stored, not deflated: the simulated series barely
+    compress, and zlib dominated both the write and the read.  The
+    supervised windows are *not* saved — rebuilding them is a few
+    zero-copy sliding views under the lazy pipeline, while saving them
     would multiply the file size ~24x.  ``cache_key`` is recorded in the
     archive metadata so :class:`~repro.datasets.DatasetCache` can check
     that an entry holds the world it was asked for.
@@ -46,7 +55,7 @@ def save_dataset(dataset: LoadedDataset, path: str | Path, *,
     }
     if cache_key is not None:
         meta["cache_key"] = cache_key
-    np.savez_compressed(
+    np.savez(
         path,
         meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
         edges=edges,

@@ -1,6 +1,8 @@
 """The content-addressed dataset cache: keys, hits, telemetry, hygiene."""
 
 import dataclasses
+import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -168,6 +170,24 @@ class TestCacheStore:
         assert info["scale"] == "ci"
         assert "speed" in info["arrays"]
 
+    def test_info_reads_headers_only(self, cache_dir, monkeypatch):
+        load_dataset("metr-la", scale="ci")
+        store = DatasetCache()
+        (entry,) = store.entries()
+        with np.load(entry.path) as payload:
+            expected = {name: list(payload[name].shape)
+                        for name in payload.files if name != "meta"}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("info read an array in full")
+
+        monkeypatch.setattr(np.lib.format, "read_array", refuse)
+        info = store.info(entry.key)
+        assert info["arrays"] == expected
+        assert list(info["arrays"]) == list(expected)
+        assert info["window"] == dataclasses.asdict(WindowConfig())
+        assert info["size_bytes"] == entry.size_bytes
+
     def test_info_unknown_key(self, cache_dir):
         with pytest.raises(KeyError, match="no cache entry"):
             DatasetCache().info("feedfacefeedface")
@@ -270,3 +290,71 @@ class TestFaultInjection:
         cache_dir.mkdir()
         path.write_bytes(b"xx")
         assert CacheEntry.from_path(path) is None
+
+
+def member_data_offset(path, member):
+    """Byte offset of ``member``'s data in the zip archive at ``path``."""
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(member)
+    with open(path, "rb") as handle:
+        handle.seek(info.header_offset)
+        local = handle.read(30)
+    name_len, extra_len = struct.unpack("<HH", local[26:30])
+    return info.header_offset + 30 + name_len + extra_len, info.file_size
+
+
+class TestStoredEntries:
+    """Entries are written ``ZIP_STORED``; the zip CRC-32 is then the only
+    check on the array bytes."""
+
+    def test_fresh_entry_is_stored(self, cache_dir):
+        load_dataset("metr-la", scale="ci")
+        (entry,) = DatasetCache().entries()
+        with zipfile.ZipFile(entry.path) as archive:
+            members = archive.infolist()
+        assert {m.filename for m in members} >= {"meta.npy", "speed.npy"}
+        assert all(m.compress_type == zipfile.ZIP_STORED for m in members)
+
+    def test_flipped_byte_is_a_corrupt_entry(self, cache_dir):
+        fresh = load_dataset("metr-la", scale="ci", cache=False)
+        load_dataset("metr-la", scale="ci")
+        (entry,) = DatasetCache().entries()
+        offset, size = member_data_offset(entry.path, "speed.npy")
+        payload = bytearray(entry.path.read_bytes())
+        payload[offset + size // 2] ^= 0xFF
+        entry.path.write_bytes(bytes(payload))
+        assert DatasetCache().get(entry.name, entry.scale, entry.key) is None
+        assert not entry.path.exists()
+        sink = MemorySink()
+        with bus_scope(EventBus([sink])):
+            rebuilt = load_dataset("metr-la", scale="ci")
+        assert kinds(sink) == ["cache_miss", "dataset_build"]
+        np.testing.assert_array_equal(rebuilt.simulation.speed,
+                                      fresh.simulation.speed)
+        np.testing.assert_array_equal(rebuilt.supervised.series,
+                                      fresh.supervised.series)
+
+    def test_deflated_entry_is_still_served(self, cache_dir):
+        fresh = load_dataset("metr-la", scale="ci", cache=False)
+        load_dataset("metr-la", scale="ci")
+        (entry,) = DatasetCache().entries()
+        with zipfile.ZipFile(entry.path) as archive:
+            members = {m.filename: archive.read(m) for m in archive.infolist()}
+        with zipfile.ZipFile(entry.path, "w",
+                             compression=zipfile.ZIP_DEFLATED) as archive:
+            for name, data in members.items():
+                archive.writestr(name, data)
+        with zipfile.ZipFile(entry.path) as archive:
+            assert all(m.compress_type == zipfile.ZIP_DEFLATED
+                       for m in archive.infolist())
+        sink = MemorySink()
+        with bus_scope(EventBus([sink])):
+            cached = load_dataset("metr-la", scale="ci")
+        assert kinds(sink) == ["cache_hit"]
+        for field in ("density", "speed", "flow", "missing_mask"):
+            np.testing.assert_array_equal(getattr(cached.simulation, field),
+                                          getattr(fresh.simulation, field))
+        np.testing.assert_array_equal(cached.supervised.series,
+                                      fresh.supervised.series)
+        assert DatasetCache().info(entry.key)["arrays"]["speed"] == list(
+            fresh.simulation.speed.shape)
