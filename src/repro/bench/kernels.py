@@ -23,21 +23,27 @@ Cases
   Adam update) on a synthetic graph
 - ``einsum_graph_conv``   ``F.einsum`` forward+backward on Graph-WaveNet's
   ``nm,bcmt->bcnt`` propagation against the same three contractions as
-  direct ``np.einsum`` calls (the case brings its own reference step; no
-  engine switch)
+  direct ``np.einsum`` calls
 
-Every case times the reference engine first, then the fast one, each
-best-of ``repeats`` after one warm-up.  The CLI front-end is ``python -m
+A case's reference side is the same case built *and* run inside
+:func:`repro.nn.reference.engine` from a generator in the same state (a
+graph keeps the backward closures it was built with); ``col2im`` and
+``einsum_graph_conv`` bring their own reference step.  Every case times
+the reference side first, then the fast one, each best-of ``repeats``
+after one warm-up.  The CLI front-end is ``python -m
 repro bench kernels`` (use ``--json`` to record ``BENCH_kernels.json``).
 See ``docs/performance.md``.
 """
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from ..nn import functional as F
 from ..nn import kernels as K
+from ..nn import reference
 from ..nn.tensor import Tensor
 from .harness import Suite, best_of
 
@@ -60,22 +66,21 @@ def _timed(build):
     """Suite case from a ``build(sizes, rng) -> (step, meta[, reference])``
     builder (see the cases section below)."""
     def make(sizes: dict, rng: np.random.Generator):
-        step, meta, *own_reference = build(sizes, rng)
-        if own_reference:
-            reference = best_of(own_reference[0], sizes["repeats"])
-        else:
-            with K.use_reference_kernels():
-                reference = best_of(step, sizes["repeats"])
-        return reference, best_of(step, sizes["repeats"]), meta
+        with reference.engine():
+            step, _, *own_reference = build(sizes, copy.deepcopy(rng))
+            reference_seconds = best_of(
+                own_reference[0] if own_reference else step,
+                sizes["repeats"])
+        step, meta, *_ = build(sizes, rng)
+        return reference_seconds, best_of(step, sizes["repeats"]), meta
 
     return make
 
 
 # --------------------------------------------------------------------- #
 # cases — each builds a closure that runs one forward+backward (or the
-# isolated kernel); the closure consults the reference-kernel switch at
-# run time, so the same closure times both engines.  A case may instead
-# return its own reference closure as a third element, timed as is.
+# isolated kernel) on the engine it was built under, or returns its own
+# reference closure as a third element, timed as is.
 # --------------------------------------------------------------------- #
 def _case_conv2d_backward(sizes: dict, rng: np.random.Generator):
     batch, channels = sizes["batch"], sizes["channels"]
@@ -134,13 +139,13 @@ def _case_col2im(sizes: dict, rng: np.random.Generator):
     g_cols = rng.normal(size=(batch, channels, 3, nodes * out_w))
 
     def step():
-        if K.reference_kernels_enabled():
-            K.col2im_reference(g_cols, shape, kernel)
-        else:
-            K.col2im(g_cols, shape, kernel)
+        K.col2im(g_cols, shape, kernel)
+
+    def reference_step():
+        reference.col2im(g_cols, shape, kernel)
 
     meta = {"shape": list(shape), "kernel": list(kernel)}
-    return step, meta
+    return step, meta, reference_step
 
 
 def _case_split_backward(sizes: dict, rng: np.random.Generator):
@@ -228,14 +233,14 @@ def _case_einsum_graph_conv(sizes: dict, rng: np.random.Generator):
         b = Tensor(signal, requires_grad=True)
         F.einsum(subscripts, a, b).backward(g)
 
-    def reference():
+    def reference_step():
         np.einsum(subscripts, support, signal)
         np.einsum("bcnt,bcmt->nm", g, signal)
         np.einsum("bcnt,nm->bcmt", g, support)
 
     meta = {"subscripts": subscripts, "support": list(support.shape),
             "signal": list(signal.shape)}
-    return step, meta, reference
+    return step, meta, reference_step
 
 
 SUITE = Suite(

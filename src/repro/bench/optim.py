@@ -5,8 +5,8 @@ recurrent cells), so the per-parameter optimizer loop used to pay one
 round of numpy-call overhead per parameter per step.  This suite times
 every optimizer both ways on a synthetic many-parameter model — the fused
 single-array path over a :class:`repro.nn.arena.ParameterArena` against
-the per-parameter reference loop
-(:func:`repro.nn.optim.use_reference_optim`) — plus the two other hot
+the per-parameter loop over an unflattened twin of the same model (its
+plain parameter list, the pre-arena program) — plus the two other hot
 arena operations, gradient clipping and ``zero_grad``.
 
 Cases
@@ -19,20 +19,22 @@ Cases
 - ``zero_grad``       — one memset of the arena grad buffer vs. a
   per-parameter loop
 
-Both paths walk the identical arena-view state, so the comparison is
-honest; every case times the reference loop first, then the fused path,
-each best-of ``repeats`` after one warm-up.  The CLI front-end is
+The twin is built from a generator in the same state and carries the
+same gradients, so both paths do the same arithmetic; every case times
+the reference loop first, then the fused path, each best-of ``repeats``
+after one warm-up.  The CLI front-end is
 ``python -m repro bench optim`` (``--json`` records ``BENCH_optim.json``).
 See ``docs/training.md``.
 """
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from ..nn.module import Module, Parameter
-from ..nn.optim import (SGD, Adagrad, Adam, AdamW, RMSprop, clip_grad_norm,
-                        reference_optim_enabled, use_reference_optim)
+from ..nn.optim import SGD, Adagrad, Adam, AdamW, RMSprop, clip_grad_norm
 from .harness import Suite, best_of
 
 __all__ = ["SUITE"]
@@ -68,67 +70,69 @@ class _SyntheticModel(Module):
 
 
 def _timed(build):
-    """Suite case from a ``build(sizes, rng) -> (step, meta)`` builder:
-    ``step`` under :func:`repro.nn.optim.use_reference_optim`, then on
-    the fused path."""
+    """Suite case from a ``build(sizes, rng, flat) -> (step, meta[,
+    reference_step])`` builder: the case on the unflattened twin
+    (``flat=False``, from a generator in the same state) is the reference
+    side, timed first, unless the case brings its own reference closure."""
     def make(sizes: dict, rng: np.random.Generator):
-        step, meta = build(sizes, rng)
-        with use_reference_optim():
-            reference = best_of(step, sizes["repeats"])
-        return reference, best_of(step, sizes["repeats"]), meta
+        twin_rng = copy.deepcopy(rng)
+        step, meta, *reference = build(sizes, rng, flat=True)
+        reference = reference or build(sizes, twin_rng, flat=False)[:1]
+        return (best_of(reference[0], sizes["repeats"]),
+                best_of(step, sizes["repeats"]), meta)
 
     return make
 
 
-def _make_model(sizes: dict, rng: np.random.Generator):
+def _make_model(sizes: dict, rng: np.random.Generator, flat: bool):
+    """The synthetic model's arena (``flat``) or its plain parameter list —
+    the pre-arena program — holding one gradient draw, and the meta."""
     model = _SyntheticModel(sizes["params"], sizes["dim"], rng)
-    arena = model.flatten_parameters()
-    arena.grad[:] = rng.normal(size=arena.size)
-    return model, arena
+    counts = [p.size for p in model.parameters()]
+    draw = rng.normal(size=sum(counts))
+    meta = {"parameters": len(counts), "elements": draw.size}
+    if flat:
+        arena = model.flatten_parameters()
+        arena.grad[:] = draw
+        return arena, meta
+    for param, grad in zip(model.parameters(),
+                           np.split(draw, np.cumsum(counts)[:-1])):
+        param.grad = grad.reshape(param.shape)
+    return model.parameters(), meta
 
 
 def _case_optimizer(cls, **kwargs):
-    def make(sizes: dict, rng: np.random.Generator):
-        model, arena = _make_model(sizes, rng)
-        optimizer = cls(arena, lr=1e-3, **kwargs)
-
-        def step():
-            optimizer.step()
-
-        meta = {"parameters": len(arena), "elements": arena.size,
-                **{k: v for k, v in kwargs.items()}}
-        return step, meta
+    def make(sizes: dict, rng: np.random.Generator, flat: bool):
+        parameters, meta = _make_model(sizes, rng, flat)
+        optimizer = cls(parameters, lr=1e-3, **kwargs)
+        return optimizer.step, {**meta, **kwargs}
 
     return make
 
 
-def _case_clip_grad_norm(sizes: dict, rng: np.random.Generator):
-    _, arena = _make_model(sizes, rng)
+def _case_clip_grad_norm(sizes: dict, rng: np.random.Generator, flat: bool):
+    parameters, meta = _make_model(sizes, rng, flat)
     # A norm far below the threshold: no rescale, so every call does the
     # same work (the norm reduction) on both paths.
-    max_norm = float(arena.grad_norm()) * 10.0
+    max_norm = clip_grad_norm(parameters, float("inf")) * 10.0
 
     def step():
-        clip_grad_norm(arena, max_norm)
+        clip_grad_norm(parameters, max_norm)
 
-    meta = {"parameters": len(arena), "elements": arena.size}
     return step, meta
 
 
-def _case_zero_grad(sizes: dict, rng: np.random.Generator):
-    model, arena = _make_model(sizes, rng)
-    optimizer = SGD(arena, lr=1e-3)
-    parameters = model.parameters()
+def _case_zero_grad(sizes: dict, rng: np.random.Generator, flat: bool):
+    arena, meta = _make_model(sizes, rng, flat=True)
+    parameters = arena.parameters
 
-    def step():
-        if reference_optim_enabled():
-            for param in parameters:        # the pre-arena per-param loop
-                param.zero_grad()
-        else:
-            optimizer.zero_grad()
+    def reference_step():
+        # The per-parameter loop: each arena-bound parameter zeroes its own
+        # gradient view (an unbound parameter would only drop its array).
+        for param in parameters:
+            param.zero_grad()
 
-    meta = {"parameters": len(arena), "elements": arena.size}
-    return step, meta
+    return SGD(arena, lr=1e-3).zero_grad, meta, reference_step
 
 
 SUITE = Suite(

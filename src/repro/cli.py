@@ -437,7 +437,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     if args.cache_command == "info":
         try:
             info = store.info(args.key)
-        except KeyError as exc:
+        except (KeyError, ValueError) as exc:
             print(exc.args[0], file=sys.stderr)
             return 1
         print(json.dumps(info, indent=2, sort_keys=True))

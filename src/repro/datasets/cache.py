@@ -32,8 +32,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import secrets
 import string
-import tempfile
+import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -95,9 +96,9 @@ class CacheEntry:
     def from_path(cls, path: Path) -> "CacheEntry | None":
         """Parse ``<name>_<scale>_<key>.npz``; None for foreign files.
 
-        The key must be 16 hex digits: in-flight temp files of
-        :meth:`DatasetCache.put` draw their names from ``[a-z0-9_]`` and
-        could otherwise parse as an entry.
+        The key must be 16 hex digits, so in-flight temp files of
+        :meth:`DatasetCache.put` (``tmp<hex>.npz``) and foreign files
+        named like ``a_b_c.npz`` never parse as an entry.
         """
         parts = path.stem.rsplit("_", 2)
         if len(parts) != 3 or path.suffix != ".npz":
@@ -129,10 +130,12 @@ class DatasetCache:
 
         A corrupt entry (torn write from an old interpreter crash,
         truncated disk) is deleted and treated as a miss rather than
-        propagating a load error into the caller.  An archive that records
-        another key — written under another format version and copied or
-        renamed into place — is a miss too, and the next ``put`` replaces
-        it.  Archives that record no key predate the field; format 1 wrote
+        propagating a load error into the caller.  An entry that cannot be
+        read at all (an ``OSError`` such as ``PermissionError`` on another
+        user's file) is a miss that leaves the file alone.  An archive that
+        records another key — written under another format version and
+        copied or renamed into place — is a miss too, and the next ``put``
+        replaces it.  Archives that record no key predate the field; format 1 wrote
         them under their own name.
         """
         from ..obs.spans import span
@@ -145,6 +148,9 @@ class DatasetCache:
                 return None
             try:
                 meta, result = load_archive(path)
+            except OSError:
+                sp.set(hit=False, unreadable=True)
+                return None
             except Exception:
                 path.unlink(missing_ok=True)
                 sp.set(hit=False, corrupt=True)
@@ -156,7 +162,12 @@ class DatasetCache:
             return result
 
     def put(self, dataset, key: str) -> Path:
-        """Persist ``dataset`` under ``key`` atomically; returns the path."""
+        """Persist ``dataset`` under ``key`` atomically; returns the path.
+
+        The entry gets the mode a plain file create gets (``0o666`` under
+        the process umask), so a shared cache directory stays readable by
+        every user the umask allows.
+        """
         from ..obs.spans import span
         from .io import save_dataset
 
@@ -165,9 +176,11 @@ class DatasetCache:
             self.directory.mkdir(parents=True, exist_ok=True)
             # The suffix must be ``.npz`` — np.savez appends one otherwise
             # and the rename would promote an empty placeholder file.
-            handle, tmp_name = tempfile.mkstemp(dir=self.directory,
-                                                suffix=".npz")
-            os.close(handle)
+            # ``O_EXCL`` claims the fresh name; unlike ``mkstemp`` (0600)
+            # the create mode is left to the umask.
+            tmp_name = self.directory / f"tmp{secrets.token_hex(8)}.npz"
+            os.close(os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL,
+                             0o666))
             try:
                 save_dataset(dataset, tmp_name, cache_key=key)
                 os.replace(tmp_name, path)
@@ -190,15 +203,23 @@ class DatasetCache:
 
         Array shapes come from each member's ``.npy`` header alone, so
         listing a paper-scale entry reads a few hundred bytes per array
-        rather than the arrays themselves.
+        rather than the arrays themselves.  Raises ``KeyError`` when no
+        entry matches and ``ValueError`` naming the entry when it cannot
+        be read or parsed; the file is left in place either way.
         """
         for entry in self.entries():
             if entry.key.startswith(key) or entry.path.name.startswith(key):
-                meta, shapes = _read_headers(entry.path)
-                return {"path": str(entry.path), "key": entry.key,
-                        "size_bytes": entry.size_bytes,
-                        "spec": meta["spec"], "scale": meta["scale"],
-                        "window": meta["window"], "arrays": shapes}
+                try:
+                    meta, shapes = _read_headers(entry.path)
+                    return {"path": str(entry.path), "key": entry.key,
+                            "size_bytes": entry.size_bytes,
+                            "spec": meta["spec"], "scale": meta["scale"],
+                            "window": meta["window"], "arrays": shapes}
+                except (OSError, EOFError, KeyError, ValueError,
+                        zipfile.BadZipFile) as exc:
+                    raise ValueError(
+                        f"cache entry {entry.path.name} is unreadable "
+                        f"({type(exc).__name__}: {exc})") from exc
         raise KeyError(f"no cache entry matching {key!r} "
                        f"in {self.directory}")
 
@@ -218,8 +239,6 @@ def _read_headers(path: Path) -> tuple[dict, dict[str, list[int]]]:
 
     ``meta`` is a flat uint8 array, so its data is the JSON text itself.
     """
-    import zipfile
-
     from numpy.lib import format as npy
 
     header_readers = {(1, 0): npy.read_array_header_1_0,

@@ -23,7 +23,7 @@ from ..obs.spans import span
 __all__ = [
     "relu", "leaky_relu", "sigmoid", "tanh", "softmax", "log_softmax", "gelu",
     "concat", "stack", "split", "unbind", "where", "einsum", "dropout",
-    "conv2d", "conv1d", "unfold2d", "huber",
+    "conv2d", "conv1d", "huber",
 ]
 
 
@@ -117,11 +117,9 @@ def _slice_views(x: Tensor, indices: Sequence[tuple], op: str) -> list[Tensor]:
     gradient slice into a single shared buffer held by an *anchor* node
     that sits between ``x`` and the views; reverse-topological order
     guarantees all views run before the anchor, which then hands the
-    buffer to ``x`` in one pass.  In reference-kernel mode the views fall
-    back to plain ``getitem`` nodes (the pre-optimisation behaviour).
+    buffer to ``x`` in one pass.
     """
-    if (not x.requires_grad or not is_grad_enabled()
-            or _kernels.reference_kernels_enabled()):
+    if not x.requires_grad or not is_grad_enabled():
         return [x[idx] for idx in indices]
 
     def anchor_backward(g: np.ndarray) -> None:
@@ -248,13 +246,6 @@ def huber(x: Tensor, delta: float = 1.0) -> Tensor:
 # convolution (im2col — see repro.nn.kernels for the strided gather and
 # the fast col2im scatter)
 # --------------------------------------------------------------------- #
-def unfold2d(x_data: np.ndarray, kernel: tuple[int, int],
-             stride: tuple[int, int] = (1, 1),
-             dilation: tuple[int, int] = (1, 1)):
-    """im2col on raw data: (B, C, H, W) -> (B, C*kh*kw, L), plus out shape."""
-    return _kernels.im2col(x_data, kernel, stride, dilation)
-
-
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: tuple[int, int] = (1, 1),
            padding: tuple[int, int] = (0, 0),
@@ -265,11 +256,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     ``bias``: (C_out,) or None.  Padding is symmetric zero padding.
 
     The patches come from :func:`repro.nn.kernels.im2col`'s strided window
-    view (a free view for 1×1 kernels), the three matrix contractions run
-    on BLAS (:func:`repro.nn.kernels.conv_forward_contract` and friends),
-    and the backward input scatter uses the vectorised
-    :func:`repro.nn.kernels.col2im` (strided slice adds / bincount) rather
-    than ``np.add.at``.
+    view (a free view for 1×1 kernels), the three matrix contractions are
+    BLAS GEMMs (``np.matmul``), and the backward input scatter uses the
+    vectorised :func:`repro.nn.kernels.col2im` (strided slice adds /
+    bincount) rather than ``np.add.at``.
     """
     stride = (int(stride[0]), int(stride[1]))
     dilation = (int(dilation[0]), int(dilation[1]))
@@ -285,7 +275,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         cols_mat, out_h, out_w = _kernels.im2col(          # (B, CK, L)
             x.data, (kh, kw), stride, dilation)
         w_mat = weight.data.reshape(c_out, -1)                # (Cout, CK)
-        out_data = _kernels.conv_forward_contract(w_mat, cols_mat)
+        out_data = np.matmul(w_mat, cols_mat)                # (B, Cout, L)
         if bias is not None:
             out_data += bias.data[None, :, None]      # a fresh GEMM product
         out_data = out_data.reshape(batch, c_out, out_h, out_w)
@@ -296,7 +286,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         with span("kernel/conv2d_backward", batch=batch, kernel=(kh, kw)):
             g_mat = g.reshape(batch, c_out, -1)              # (B, Cout, L)
             if weight.requires_grad:
-                gw = _kernels.conv_weight_grad_contract(g_mat, cols_mat)
+                # One batched GEMM that reads both operands in their own
+                # layouts (no transposed copies), then a sum over the batch.
+                gw = np.matmul(g_mat, cols_mat.transpose(0, 2, 1)).sum(axis=0)
                 weight._accumulate(gw.reshape(weight.shape))
             if bias is not None and bias.requires_grad:
                 bias._accumulate(g_mat.sum(axis=(0, 2)))
@@ -304,13 +296,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
                 # Raw data input: no column GEMM, no col2im scatter.
                 return
             # input grad: scatter columns back
-            g_cols = _kernels.conv_col_grad_contract(w_mat, g_mat)
+            g_cols = np.matmul(w_mat.T, g_mat)               # (B, CK, L)
             g_cols = g_cols.reshape(batch, c_in, kh * kw, -1)
-            col2im = (_kernels.col2im_reference
-                      if _kernels.reference_kernels_enabled()
-                      else _kernels.col2im)
-            gx = col2im(g_cols, (batch, c_in, height, width), (kh, kw),
-                        stride, dilation)
+            gx = _kernels.col2im(g_cols, (batch, c_in, height, width),
+                                 (kh, kw), stride, dilation)
             x._accumulate(gx)
 
     return Tensor._make(out_data, parents, backward, "conv2d")

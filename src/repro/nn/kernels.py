@@ -1,4 +1,4 @@
-"""Shared kernel machinery: strided im2col, fast col2im, BLAS contractions.
+"""Shared kernel machinery: strided im2col, fast col2im, GEMM einsum.
 
 Every conv-based model in the zoo (STGCN, Graph-WaveNet, ASTGCN, STSGCN)
 funnels through :func:`repro.nn.functional.conv2d`, and every graph
@@ -13,9 +13,8 @@ floor close to the numpy speed-of-light:
   stride-1 kernel on a contiguous input.
 - :func:`col_indices` builds the row/column index grids once per geometry
   ``(H, W, kernel, stride, dilation)`` and caches them (the grids are
-  read-only so cache hits are safe to share between calls); the
-  reference im2col gathers with them and the many-tap col2im scatters
-  with them.
+  read-only so cache hits are safe to share between calls); the many-tap
+  col2im scatters with them.
 - :func:`col2im` scatters column gradients back to the input *without*
   ``np.add.at``: for each of the ``kh*kw`` kernel taps, the output grid
   maps to a strided, overlap-free view of the input, so the scatter is a
@@ -23,31 +22,20 @@ floor close to the numpy speed-of-light:
   kernels the TCN models use reduce to ``k`` shifted adds along the time
   axis.  Kernels with very many taps switch to a single flat
   ``np.bincount`` scatter instead.
-- :func:`col2im_reference` is the original ``np.add.at`` implementation,
-  kept as the ground truth for the equivalence tests and as the baseline
-  the kernel benchmarks measure speedups against.
-- :func:`conv_forward_contract`, :func:`conv_weight_grad_contract`, and
-  :func:`conv_col_grad_contract` route the three conv contractions through
-  BLAS (``matmul``) instead of ``np.einsum``'s generic
-  sum-of-products loops; the reference mode keeps the einsum paths.
 - :func:`einsum` runs a two-operand contraction as one batched GEMM
   (``transpose -> reshape -> np.matmul -> reshape -> transpose``) from a
   plan cached per ``(subscripts, shape_a, shape_b)``
   (:func:`einsum_plan`).  Contractions without a GEMM — no contracted
   index longer than 1, or no free index on one side — call ``np.einsum``.
-  The choice reads only the operand shapes; there is no reference mode.
+  The choice reads only the operand shapes.
 
-The :func:`use_reference_kernels` context switches the whole engine (conv
-gather and scatter, index caching, basic-index gradients,
-``unbind``/``split`` views)
-back to the pre-optimisation reference paths so a single process can time
-"before" and "after" honestly — see ``repro bench kernels`` and
-``docs/performance.md``.
+Each op has one path.  The pre-optimisation kernels the equivalence
+tests and ``repro bench kernels`` compare against live in
+:mod:`repro.nn.reference`, which nothing here imports.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 from typing import NamedTuple
 
@@ -55,39 +43,12 @@ import numpy as np
 
 __all__ = [
     "col_indices", "col_indices_cache_info", "clear_col_indices_cache",
-    "im2col", "col2im", "col2im_reference",
-    "conv_forward_contract", "conv_weight_grad_contract",
-    "conv_col_grad_contract",
-    "use_reference_kernels", "reference_kernels_enabled",
+    "im2col", "col2im",
     "EinsumPlan", "einsum_plan", "einsum",
 ]
 
 # Taps beyond this count make one flat bincount cheaper than per-tap adds.
 _BINCOUNT_TAP_THRESHOLD = 64
-
-_REFERENCE = False
-
-
-@contextlib.contextmanager
-def use_reference_kernels():
-    """Route all kernels through the slow reference paths inside the block.
-
-    Used by the benchmark suite to measure the pre-optimisation baseline in
-    the same process, and by the equivalence tests to obtain ground-truth
-    gradients.
-    """
-    global _REFERENCE
-    previous = _REFERENCE
-    _REFERENCE = True
-    try:
-        yield
-    finally:
-        _REFERENCE = previous
-
-
-def reference_kernels_enabled() -> bool:
-    """Whether the engine is currently in reference-kernel mode."""
-    return _REFERENCE
 
 
 # --------------------------------------------------------------------- #
@@ -126,16 +87,12 @@ def col_indices(height: int, width: int, kernel: tuple[int, int],
 
     Returns ``(rows, cols, out_h, out_w)`` where ``rows``/``cols`` are
     ``(kh*kw, out_h*out_w)`` index grids.  Results are cached per geometry
-    (and returned read-only); in reference mode the grids are rebuilt on
-    every call, matching the pre-optimisation engine.
+    (and returned read-only).
     """
     kh, kw = kernel
-    key = (int(height), int(width), int(kh), int(kw),
-           (int(stride[0]), int(stride[1])),
-           (int(dilation[0]), int(dilation[1])))
-    if _REFERENCE:
-        return _build_col_indices(*key)
-    return _cached_col_indices(*key)
+    return _cached_col_indices(int(height), int(width), int(kh), int(kw),
+                               (int(stride[0]), int(stride[1])),
+                               (int(dilation[0]), int(dilation[1])))
 
 
 def col_indices_cache_info():
@@ -160,16 +117,10 @@ def im2col(x_data: np.ndarray, kernel: tuple[int, int],
     channel ``c`` at every output position.  The patches come from one
     read-only window view of ``x_data`` whose reshape is a single
     sequential copy — or a view, for a 1×1 stride-1 kernel on a
-    contiguous input, so callers must not write into the result.  In
-    reference mode the patches are gathered with the index grids.
+    contiguous input, so callers must not write into the result.
     """
     batch, channels, height, width = x_data.shape
     kh, kw = kernel
-    if _REFERENCE:
-        rows, cols, out_h, out_w = col_indices(height, width, kernel,
-                                               stride, dilation)
-        patches = x_data[:, :, rows, cols]     # (B, C, kh*kw, L)
-        return patches.reshape(batch, channels * kh * kw, -1), out_h, out_w
     out_h, out_w = _out_grid(height, width, kh, kw, stride, dilation)
     s_b, s_c, s_h, s_w = x_data.strides
     windows = np.lib.stride_tricks.as_strided(
@@ -233,53 +184,6 @@ def _col2im_bincount(g_cols: np.ndarray, shape: tuple[int, int, int, int],
     summed = np.bincount(index, weights=flat.ravel(),
                          minlength=batch * channels * plane)
     return summed.reshape(shape).astype(g_cols.dtype, copy=False)
-
-
-def col2im_reference(g_cols: np.ndarray, shape: tuple[int, int, int, int],
-                     kernel: tuple[int, int],
-                     stride: tuple[int, int] = (1, 1),
-                     dilation: tuple[int, int] = (1, 1)) -> np.ndarray:
-    """Original ``np.add.at`` scatter — ground truth for equivalence tests
-    and the baseline for the kernel benchmarks."""
-    batch, channels, height, width = shape
-    kh, kw = kernel
-    rows, cols, _, _ = col_indices(height, width, kernel, stride, dilation)
-    gx = np.zeros(shape, dtype=g_cols.dtype)
-    np.add.at(gx, (slice(None), slice(None), rows, cols),
-              g_cols.reshape(batch, channels, kh * kw, -1))
-    return gx
-
-
-# --------------------------------------------------------------------- #
-# conv contractions — BLAS GEMMs on the fast path, the original
-# ``np.einsum`` sum-of-products loops on the reference path.
-# --------------------------------------------------------------------- #
-def conv_forward_contract(w_mat: np.ndarray,
-                          cols_mat: np.ndarray) -> np.ndarray:
-    """``(Cout, CK) @ (B, CK, L) -> (B, Cout, L)`` output contraction."""
-    if _REFERENCE:
-        return np.einsum("ok,bkl->bol", w_mat, cols_mat)
-    return np.matmul(w_mat, cols_mat)
-
-
-def conv_weight_grad_contract(g_mat: np.ndarray,
-                              cols_mat: np.ndarray) -> np.ndarray:
-    """``(B, Cout, L) x (B, CK, L) -> (Cout, CK)`` weight gradient.
-
-    One batched GEMM that reads both operands in their own layouts (no
-    transposed copies), then a sum over the batch.
-    """
-    if _REFERENCE:
-        return np.einsum("bol,bkl->ok", g_mat, cols_mat)
-    return np.matmul(g_mat, cols_mat.transpose(0, 2, 1)).sum(axis=0)
-
-
-def conv_col_grad_contract(w_mat: np.ndarray,
-                           g_mat: np.ndarray) -> np.ndarray:
-    """``(Cout, CK).T @ (B, Cout, L) -> (B, CK, L)`` column gradient."""
-    if _REFERENCE:
-        return np.einsum("ok,bol->bkl", w_mat, g_mat)
-    return np.matmul(w_mat.T, g_mat)
 
 
 # --------------------------------------------------------------------- #

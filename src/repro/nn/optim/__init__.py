@@ -1,19 +1,15 @@
 """Optimizers and LR schedulers.
 
 All optimizers run fused single-array updates when handed a
-:class:`~repro.nn.arena.ParameterArena` (or parameters bound to one);
-:func:`use_reference_optim` switches them back to the per-parameter
-reference loop for equivalence tests and benchmarks.
+:class:`~repro.nn.arena.ParameterArena` (or parameters bound to one), and
+the per-parameter loop over a plain parameter list.
 """
 
 from .adam import Adam, AdamW
-from .optimizer import (Optimizer, clip_grad_norm, reference_optim_enabled,
-                        use_reference_optim)
+from .optimizer import Optimizer, clip_grad_norm
 from .schedulers import CosineAnnealingLR, ExponentialLR, StepLR
 from .rmsprop import Adagrad, RMSprop
 from .sgd import SGD
 
 __all__ = ["Optimizer", "SGD", "Adam", "AdamW", "RMSprop", "Adagrad",
-           "clip_grad_norm", "use_reference_optim",
-           "reference_optim_enabled",
-           "StepLR", "ExponentialLR", "CosineAnnealingLR"]
+           "clip_grad_norm", "StepLR", "ExponentialLR", "CosineAnnealingLR"]

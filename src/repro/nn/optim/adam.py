@@ -1,11 +1,9 @@
 """Adam / AdamW — the optimizer family used by every model in the paper.
 
-Both optimizers carry two execution paths: the fused single-array update
-over a :class:`~repro.nn.arena.ParameterArena` (the default when the model
-was flattened) and the original per-parameter loop, kept as the reference
-path behind :func:`~repro.nn.optim.use_reference_optim`.  The two paths
-share the same moment buffers (the loop iterates views of the fused flat
-arrays), so switching mid-run is safe.
+Both optimizers carry two execution paths, picked by their input: the
+fused single-array update over a :class:`~repro.nn.arena.ParameterArena`
+(whenever the model was flattened) and the per-parameter loop over a
+plain parameter list.
 """
 
 from __future__ import annotations

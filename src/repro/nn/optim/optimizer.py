@@ -1,20 +1,16 @@
-"""Optimizer base class, gradient clipping, and the fused/reference switch.
+"""Optimizer base class and gradient clipping.
 
 Optimizers accept either a plain sequence of :class:`Parameter` objects or
 a :class:`repro.nn.arena.ParameterArena` (one flat buffer covering every
 parameter — see :meth:`repro.nn.Module.flatten_parameters`).  When an
 arena is available, ``step()`` runs *fused*: the whole update is a handful
 of vectorized ops over the flat data/grad/state arrays instead of one
-Python round per parameter.  The original per-parameter loop is kept as
-the reference path — :func:`use_reference_optim` routes every optimizer
-back through it inside a ``with`` block, mirroring
-:func:`repro.nn.kernels.use_reference_kernels`, so equivalence tests and
-``repro bench optim`` can compare both paths in one process.
+Python round per parameter.  A plain parameter list (tests, checkpoint
+restore) runs the per-parameter loop; the input alone picks the path.
 """
 
 from __future__ import annotations
 
-import contextlib
 from typing import Sequence
 
 import numpy as np
@@ -22,34 +18,7 @@ import numpy as np
 from ..arena import ParameterArena
 from ..module import Parameter
 
-__all__ = ["Optimizer", "clip_grad_norm", "use_reference_optim",
-           "reference_optim_enabled"]
-
-_REFERENCE = False
-
-
-@contextlib.contextmanager
-def use_reference_optim():
-    """Route optimizer steps through the per-parameter reference loop.
-
-    Arena-backed optimizers normally take the fused single-array path;
-    inside this block they fall back to the original per-parameter loop
-    (over the same arena-view state, so the numbers stay comparable).
-    Used by the equivalence tests and the ``repro bench optim`` suite to
-    time before/after honestly in a single process.
-    """
-    global _REFERENCE
-    previous = _REFERENCE
-    _REFERENCE = True
-    try:
-        yield
-    finally:
-        _REFERENCE = previous
-
-
-def reference_optim_enabled() -> bool:
-    """Whether optimizers are currently forced onto the reference loop."""
-    return _REFERENCE
+__all__ = ["Optimizer", "clip_grad_norm"]
 
 
 def clip_grad_norm(parameters: Sequence[Parameter] | ParameterArena,
@@ -62,13 +31,11 @@ def clip_grad_norm(parameters: Sequence[Parameter] | ParameterArena,
     as two vectorized ops on the flat gradient buffer; a parameter sequence
     uses the original per-parameter loop.
     """
-    if isinstance(parameters, ParameterArena) and not _REFERENCE:
+    if isinstance(parameters, ParameterArena):
         total = parameters.grad_norm()
         if total > max_norm and total > 0.0:
             parameters.grad *= max_norm / total
         return total
-    if isinstance(parameters, ParameterArena):
-        parameters = parameters.parameters
     grads = [p.grad for p in parameters if p.grad is not None]
     if not grads:
         return 0.0
@@ -121,18 +88,18 @@ class Optimizer:
     def _state_buffers(self) -> tuple[np.ndarray | None, list[np.ndarray]]:
         """One zeroed state buffer per parameter (flat + views when fused).
 
-        Arena-backed optimizers get a flat array whose per-parameter views
-        are what the reference loop iterates, so the fused and loop paths
-        share state; plain optimizers get independent per-parameter
-        arrays and no flat buffer.
+        Arena-backed optimizers get a flat array plus its per-parameter
+        views (the layout checkpoints read and write); plain optimizers get
+        independent per-parameter arrays and no flat buffer.
         """
         if self.arena is not None:
             return self.arena.state_like()
         return None, [np.zeros_like(p.data) for p in self.parameters]
 
     def _fused(self) -> bool:
-        """Whether this step should take the fused single-array path."""
-        if self.arena is None or _REFERENCE:
+        """Whether this step takes the fused single-array path: it does
+        whenever the optimizer has an arena."""
+        if self.arena is None:
             return False
         self.arena.sync_grads()
         return True

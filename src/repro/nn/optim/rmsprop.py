@@ -1,8 +1,7 @@
 """RMSprop and Adagrad — adaptive-rate optimizers for sweep comparisons.
 
 Both take the fused single-array path over a parameter arena when one is
-available, with the per-parameter loop kept as the reference path (see
-:func:`~repro.nn.optim.use_reference_optim`).
+available, and the per-parameter loop over a plain parameter list.
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
 """Stochastic gradient descent with optional momentum and weight decay.
 
-Fused single-array updates over a parameter arena by default; the original
-per-parameter loop stays available as the reference path (see
-:func:`~repro.nn.optim.use_reference_optim`).
+Fused single-array updates over a parameter arena; a plain parameter list
+runs the per-parameter loop.
 """
 
 from __future__ import annotations

@@ -1,0 +1,107 @@
+"""The pre-optimisation engine: the oracle the fast kernels are held to.
+
+The equivalence tests compare the production ops against these, and
+``repro bench kernels`` measures its speedups from them.  Production code
+never imports this module.  :func:`im2col` gathers with freshly built
+index grids, :func:`col2im` scatters with ``np.add.at``, :func:`conv2d`
+runs both around three ``np.einsum`` contractions, and :func:`engine`
+runs a whole model on the reference paths.
+"""
+
+from __future__ import annotations
+
+import contextlib
+
+import numpy as np
+
+from . import functional, tensor
+from .kernels import _build_col_indices
+from .tensor import Tensor
+
+__all__ = ["im2col", "col2im", "conv2d", "engine"]
+
+
+def im2col(x_data: np.ndarray, kernel: tuple[int, int],
+           stride: tuple[int, int] = (1, 1),
+           dilation: tuple[int, int] = (1, 1)):
+    """Index-grid gather: ``(B, C, H, W) -> (B, C*kh*kw, L)`` plus out shape."""
+    batch, channels, height, width = x_data.shape
+    kh, kw = kernel
+    rows, cols, out_h, out_w = _build_col_indices(height, width, kh, kw,
+                                                  stride, dilation)
+    patches = x_data[:, :, rows, cols]          # (B, C, kh*kw, L)
+    return patches.reshape(batch, channels * kh * kw, -1), out_h, out_w
+
+
+def col2im(g_cols: np.ndarray, shape: tuple[int, int, int, int],
+           kernel: tuple[int, int], stride: tuple[int, int] = (1, 1),
+           dilation: tuple[int, int] = (1, 1)) -> np.ndarray:
+    """``np.add.at`` scatter: the adjoint of :func:`im2col`."""
+    batch, channels, height, width = shape
+    kh, kw = kernel
+    rows, cols, _, _ = _build_col_indices(height, width, kh, kw,
+                                          stride, dilation)
+    gx = np.zeros(shape, dtype=g_cols.dtype)
+    np.add.at(gx, (slice(None), slice(None), rows, cols),
+              g_cols.reshape(batch, channels, kh * kw, -1))
+    return gx
+
+
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
+           stride: tuple[int, int] = (1, 1),
+           padding: tuple[int, int] = (0, 0),
+           dilation: tuple[int, int] = (1, 1)) -> Tensor:
+    """2-D convolution with the signature of :func:`repro.nn.functional.conv2d`."""
+    stride = (int(stride[0]), int(stride[1]))
+    dilation = (int(dilation[0]), int(dilation[1]))
+    if padding != (0, 0):
+        x = x.pad(((0, 0), (0, 0), (padding[0], padding[0]),
+                   (padding[1], padding[1])))
+    batch, c_in, height, width = x.shape
+    c_out, _, kh, kw = weight.shape
+    cols_mat, out_h, out_w = im2col(x.data, (kh, kw), stride, dilation)
+    w_mat = weight.data.reshape(c_out, -1)
+    out_data = np.einsum("ok,bkl->bol", w_mat, cols_mat)
+    if bias is not None:
+        out_data += bias.data[None, :, None]
+    out_data = out_data.reshape(batch, c_out, out_h, out_w)
+    parents = (x, weight) if bias is None else (x, weight, bias)
+
+    def backward(g: np.ndarray) -> None:
+        g_mat = g.reshape(batch, c_out, -1)
+        if weight.requires_grad:
+            gw = np.einsum("bol,bkl->ok", g_mat, cols_mat)
+            weight._accumulate(gw.reshape(weight.shape))
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g_mat.sum(axis=(0, 2)))
+        if not x.requires_grad:
+            return
+        g_cols = np.einsum("ok,bol->bkl", w_mat, g_mat)
+        x._accumulate(col2im(g_cols, (batch, c_in, height, width), (kh, kw),
+                             stride, dilation))
+
+    return Tensor._make(out_data, parents, backward, "conv2d")
+
+
+def _getitem_views(x: Tensor, indices, op: str) -> list[Tensor]:
+    return [x[idx] for idx in indices]
+
+
+@contextlib.contextmanager
+def engine():
+    """Inside the block ``F.conv2d`` is :func:`conv2d`, ``split``/``unbind``
+    return plain ``getitem`` views, and every ``getitem`` adjoint takes the
+    ``np.add.at`` scatter; all three are restored on exit.
+
+    A graph records its backward closures when it is built, so build the
+    graph inside the block as well as running its backward there.
+    """
+    saved = functional.conv2d, functional._slice_views, tensor._is_basic_index
+    functional.conv2d = conv2d
+    functional._slice_views = _getitem_views
+    tensor._is_basic_index = lambda index: False
+    try:
+        yield
+    finally:
+        (functional.conv2d, functional._slice_views,
+         tensor._is_basic_index) = saved

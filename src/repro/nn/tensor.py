@@ -21,8 +21,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .kernels import reference_kernels_enabled
-
 __all__ = ["Tensor", "no_grad", "is_grad_enabled", "unbroadcast"]
 
 # Global switch consulted when deciding whether a new node joins the tape.
@@ -723,7 +721,7 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             full = np.zeros(in_shape, dtype=dtype)
-            if basic and not reference_kernels_enabled():
+            if basic:
                 # Basic indexing selects each element at most once, so the
                 # adjoint is a single in-place add on a view — no
                 # duplicate-safe (and slow) scatter needed.

@@ -1,6 +1,7 @@
 """The content-addressed dataset cache: keys, hits, telemetry, hygiene."""
 
 import dataclasses
+import os
 import struct
 import zipfile
 
@@ -148,6 +149,31 @@ class TestLoadDatasetCaching:
 
 
 class TestCacheStore:
+    @pytest.mark.parametrize("umask", [0o022, 0o002, 0o077],
+                             ids=["022", "002", "077"])
+    def test_entry_mode_follows_umask(self, cache_dir, umask):
+        previous = os.umask(umask)
+        try:
+            load_dataset("metr-la", scale="ci")
+        finally:
+            os.umask(previous)
+        (entry,) = DatasetCache().entries()
+        assert entry.path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_unreadable_entry_is_a_miss_left_in_place(self, cache_dir,
+                                                      monkeypatch):
+        import repro.datasets.io as io_module
+
+        load_dataset("metr-la", scale="ci")
+        (entry,) = DatasetCache().entries()
+
+        def denied(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(io_module, "load_archive", denied)
+        assert DatasetCache().get(entry.name, entry.scale, entry.key) is None
+        assert entry.path.exists()
+
     def test_entries_and_clear(self, cache_dir):
         load_dataset("metr-la", scale="ci")
         load_dataset("pemsd8", scale="ci")
@@ -284,8 +310,8 @@ class TestFaultInjection:
     @pytest.mark.parametrize("name", ["tmpab_c_d1.npz", "tmp_x__.npz",
                                       "metr-la_ci_notahexkey.npz"])
     def test_non_entry_names_are_not_entries(self, cache_dir, name):
-        # mkstemp names draw from [a-z0-9_], so an in-flight temp file
-        # can look like name_scale_key; only a 16-hex-digit key counts.
+        # A foreign or temp file can look like name_scale_key; only a
+        # 16-hex-digit key counts.
         path = cache_dir / name
         cache_dir.mkdir()
         path.write_bytes(b"xx")

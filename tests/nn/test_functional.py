@@ -337,6 +337,6 @@ class TestConv:
 
     def test_unfold2d_shapes(self, rng):
         x = rng.normal(size=(2, 3, 5, 7))
-        cols, out_h, out_w = F.unfold2d(x, (2, 3))
+        cols, out_h, out_w = K.im2col(x, (2, 3))
         assert cols.shape == (2, 3 * 2 * 3, out_h * out_w)
         assert (out_h, out_w) == (4, 5)

@@ -4,17 +4,19 @@ Every kernel this repo rewrote for speed — the conv2d col2im scatter, the
 cached im2col indices, the BLAS conv contractions, the basic-index
 ``__getitem__`` backward, and the shared-buffer ``unbind``/``split``
 views — must produce gradients identical (≤1e-8) to the original
-``np.add.at`` engine, which stays available behind
-:func:`repro.nn.kernels.use_reference_kernels`.  The suite sweeps strided,
-dilated, padded, and tie (overlapping-tap) geometries, plus the bincount
-fallback for many-tap kernels.
+``np.add.at`` engine, which the oracle :mod:`repro.nn.reference` keeps.
+The suite sweeps strided, dilated, padded, and tie (overlapping-tap)
+geometries, plus the bincount fallback for many-tap kernels.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
 
 import repro.nn.tensor as tensor_module
 from repro.nn import Tensor, functional as F, kernels as K
+from repro.nn import reference
 from repro.nn.gradcheck import check_gradients
 
 TOL = 1e-8
@@ -37,18 +39,18 @@ CONV_GEOMETRIES = [
 ]
 
 
-def _conv_forward_backward(x, w, b, reference, **kwargs):
+def _engine(oracle):
+    """The whole reference engine when ``oracle``, else the production one."""
+    return reference.engine() if oracle else contextlib.nullcontext()
+
+
+def _conv_forward_backward(conv2d, x, w, b, **kwargs):
     """One conv2d forward+backward; returns (out, gx, gw, gb) arrays."""
     xt = Tensor(x, requires_grad=True)
     wt = Tensor(w, requires_grad=True)
     bt = Tensor(b, requires_grad=True)
-    if reference:
-        with K.use_reference_kernels():
-            out = F.conv2d(xt, wt, bt, **kwargs)
-            out.backward(np.ones_like(out.data))
-    else:
-        out = F.conv2d(xt, wt, bt, **kwargs)
-        out.backward(np.ones_like(out.data))
+    out = conv2d(xt, wt, bt, **kwargs)
+    out.backward(np.ones_like(out.data))
     return out.data, xt.grad, wt.grad, bt.grad
 
 
@@ -58,8 +60,8 @@ class TestConvEquivalence:
         x = rng.normal(size=x_shape)
         w = rng.normal(size=w_shape)
         b = rng.normal(size=(w_shape[0],))
-        fast = _conv_forward_backward(x, w, b, reference=False, **kwargs)
-        ref = _conv_forward_backward(x, w, b, reference=True, **kwargs)
+        fast = _conv_forward_backward(F.conv2d, x, w, b, **kwargs)
+        ref = _conv_forward_backward(reference.conv2d, x, w, b, **kwargs)
         for name, a, r in zip(("out", "gx", "gw", "gb"), fast, ref):
             assert np.abs(a - r).max() <= TOL, name
 
@@ -83,7 +85,7 @@ class TestCol2imEquivalence:
         g_cols = rng.normal(size=(shape[0], shape[1], kernel[0] * kernel[1],
                                   out_h * out_w))
         fast = K.col2im(g_cols, shape, kernel, stride, dilation)
-        ref = K.col2im_reference(g_cols, shape, kernel, stride, dilation)
+        ref = reference.col2im(g_cols, shape, kernel, stride, dilation)
         assert np.abs(fast - ref).max() <= TOL
 
     def test_bincount_path_matches_reference(self, rng, monkeypatch):
@@ -94,7 +96,7 @@ class TestCol2imEquivalence:
         rows, cols, out_h, out_w = K.col_indices(8, 8, kernel, (1, 1), (1, 1))
         g_cols = rng.normal(size=(2, 2, 9, out_h * out_w))
         fast = K.col2im(g_cols, shape, kernel)
-        ref = K.col2im_reference(g_cols, shape, kernel)
+        ref = reference.col2im(g_cols, shape, kernel)
         assert np.abs(fast - ref).max() <= TOL
 
     def test_index_cache_hits(self):
@@ -103,12 +105,6 @@ class TestCol2imEquivalence:
         K.col_indices(9, 11, (3, 3), (1, 1), (1, 1))
         info = K.col_indices_cache_info()
         assert info.hits >= 1 and info.misses == 1
-
-    def test_reference_mode_bypasses_cache(self):
-        K.clear_col_indices_cache()
-        with K.use_reference_kernels():
-            K.col_indices(7, 7, (3, 3), (1, 1), (1, 1))
-        assert K.col_indices_cache_info().misses == 0
 
 
 class TestGetitemEquivalence:
@@ -123,14 +119,11 @@ class TestGetitemEquivalence:
     def test_basic_index_matches_reference(self, rng, index):
         data = rng.normal(size=(4, 5))
         grads = {}
-        for reference in (False, True):
+        for oracle in (False, True):
             x = Tensor(data, requires_grad=True)
-            if reference:
-                with K.use_reference_kernels():
-                    (x[index] * 2.0).sum().backward()
-            else:
+            with _engine(oracle):
                 (x[index] * 2.0).sum().backward()
-            grads[reference] = x.grad
+            grads[oracle] = x.grad
         assert np.abs(grads[False] - grads[True]).max() <= TOL
 
     def test_advanced_index_with_ties_still_accumulates(self):
@@ -156,22 +149,15 @@ class TestViewOpsEquivalence:
     def test_unbind_matches_reference(self, rng, axis):
         data = rng.normal(size=(3, 4, 5))
         grads = {}
-        for reference in (False, True):
+        for oracle in (False, True):
             x = Tensor(data, requires_grad=True)
-
-            def body():
+            with _engine(oracle):
                 total = None
                 for i, view in enumerate(F.unbind(x, axis=axis)):
                     term = (view * float(i + 1)).sum()
                     total = term if total is None else total + term
                 total.backward()
-
-            if reference:
-                with K.use_reference_kernels():
-                    body()
-            else:
-                body()
-            grads[reference] = x.grad
+            grads[oracle] = x.grad
         assert np.abs(grads[False] - grads[True]).max() <= TOL
 
     def test_unbind_gradcheck(self, rng):
@@ -187,19 +173,12 @@ class TestViewOpsEquivalence:
     def test_split_matches_reference(self, rng):
         data = rng.normal(size=(2, 6, 5))
         grads = {}
-        for reference in (False, True):
+        for oracle in (False, True):
             x = Tensor(data, requires_grad=True)
-
-            def body():
+            with _engine(oracle):
                 value, gate = F.split(x, 2, axis=1)
                 (value * gate.sigmoid()).sum().backward()
-
-            if reference:
-                with K.use_reference_kernels():
-                    body()
-            else:
-                body()
-            grads[reference] = x.grad
+            grads[oracle] = x.grad
         assert np.abs(grads[False] - grads[True]).max() <= TOL
 
     def test_split_backward_never_calls_scatter_add(self, rng, monkeypatch):
@@ -228,3 +207,29 @@ class TestViewOpsEquivalence:
         expected = np.concatenate(
             [np.ones((2, 2)), 2.0 * np.ones((2, 2))], axis=1)
         np.testing.assert_allclose(x.grad, expected)
+
+
+class TestReferenceEngine:
+    def test_engine_routes_every_switched_op(self, rng, monkeypatch):
+        calls = []
+        original = tensor_module._scatter_add
+        monkeypatch.setattr(tensor_module, "_scatter_add",
+                            lambda *a: calls.append(a) or original(*a))
+        x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        with reference.engine():
+            assert F.conv2d is reference.conv2d
+            a, b = F.split(x, 2, axis=1)
+            assert a.op == b.op == "getitem"
+            (a * b).sum().backward()
+        assert len(calls) == 2          # basic-index adjoints scatter too
+        np.testing.assert_allclose(x.grad, np.concatenate(
+            [x.data[:, 3:], x.data[:, :3]], axis=1))
+
+    def test_engine_restores_ops_when_block_raises(self):
+        originals = (F.conv2d, F._slice_views, tensor_module._is_basic_index)
+        with pytest.raises(RuntimeError, match="inside"):
+            with reference.engine():
+                assert F.conv2d is not originals[0]
+                raise RuntimeError("inside the block")
+        assert (F.conv2d, F._slice_views,
+                tensor_module._is_basic_index) == originals

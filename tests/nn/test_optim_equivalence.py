@@ -1,21 +1,19 @@
-"""Fused arena updates must match the per-parameter reference loop.
+"""Fused arena updates must match the per-parameter loop.
 
-Every optimizer carries two paths over the same state buffers: the fused
-single-array update (default on an arena) and the original per-parameter
-loop behind ``use_reference_optim``.  These tests drive both paths with
-identical gradients for several steps — weight decay and momentum engaged
-— and hold parameters *and* optimizer state to agreement within 1e-12.
+Every optimizer carries two paths, picked by its input: the fused
+single-array update over an arena and the per-parameter loop over a plain
+parameter list.  These tests drive an arena-backed optimizer and one over
+an unflattened twin of the same model with identical gradients for
+several steps — weight decay and momentum engaged — and hold parameters
+*and* optimizer state to agreement within 1e-12.
 """
-
-import contextlib
 
 import numpy as np
 import pytest
 
 from repro.nn import Linear, Module
 from repro.nn.optim import (SGD, Adagrad, Adam, AdamW, RMSprop,
-                            clip_grad_norm, reference_optim_enabled,
-                            use_reference_optim)
+                            clip_grad_norm)
 
 ATOL = 1e-12
 
@@ -44,45 +42,56 @@ class Net(Module):
         self.fc2 = Linear(8, 1, rng=gen)
 
 
-def run_steps(cls, kwargs, reference, steps=5, grad_clip=None):
-    """Train a fixed model on a fixed gradient stream; return model+opt."""
+def run_steps(cls, kwargs, flat, steps=5, grad_clip=None):
+    """Train a fixed model on a fixed gradient stream; return model+opt.
+
+    ``flat`` hands the optimizer the model's arena; otherwise it gets the
+    plain parameter list of the unflattened model, whose gradients are
+    fresh arrays each step, as autograd leaves them.
+    """
     grads = np.random.default_rng(7)
     model = Net(seed=1)
-    arena = model.flatten_parameters()
-    optimizer = cls(arena, **kwargs)
-    context = (use_reference_optim() if reference
-               else contextlib.nullcontext())
-    with context:
-        assert reference_optim_enabled() is reference
-        for _ in range(steps):
-            arena.grad[:] = grads.normal(size=arena.size) * 10.0
-            if grad_clip is not None:
-                clip_grad_norm(arena, grad_clip)
-            optimizer.step()
+    parameters = model.flatten_parameters() if flat else model.parameters()
+    optimizer = cls(parameters, **kwargs)
+    assert (optimizer.arena is not None) is flat
+    size = sum(p.size for p in model.parameters())
+    for _ in range(steps):
+        stream = grads.normal(size=size) * 10.0
+        if flat:
+            parameters.grad[:] = stream
+        else:
+            offset = 0
+            for param in parameters:
+                param.grad = stream[offset:offset + param.size].reshape(
+                    param.shape).copy()
+                offset += param.size
+        if grad_clip is not None:
+            clip_grad_norm(parameters, grad_clip)
+        optimizer.step()
     return model, optimizer
 
 
 @pytest.mark.parametrize("cls, kwargs, buffers", OPTIMIZERS)
 class TestFusedMatchesReference:
     def test_parameters_match(self, cls, kwargs, buffers):
-        fused, _ = run_steps(cls, kwargs, reference=False)
-        loop, _ = run_steps(cls, kwargs, reference=True)
+        fused, _ = run_steps(cls, kwargs, flat=True)
+        loop, _ = run_steps(cls, kwargs, flat=False)
         for (name, a), (_, b) in zip(fused.named_parameters(),
                                      loop.named_parameters()):
             np.testing.assert_allclose(a.data, b.data, rtol=0, atol=ATOL,
                                        err_msg=name)
 
     def test_state_buffers_match(self, cls, kwargs, buffers):
-        _, fused = run_steps(cls, kwargs, reference=False)
-        _, loop = run_steps(cls, kwargs, reference=True)
+        _, fused = run_steps(cls, kwargs, flat=True)
+        _, loop = run_steps(cls, kwargs, flat=False)
         for attr in buffers:
             for a, b in zip(getattr(fused, attr), getattr(loop, attr)):
                 np.testing.assert_allclose(a, b, rtol=0, atol=ATOL,
                                            err_msg=attr)
 
     def test_with_clipping(self, cls, kwargs, buffers):
-        fused, _ = run_steps(cls, kwargs, reference=False, grad_clip=1.0)
-        loop, _ = run_steps(cls, kwargs, reference=True, grad_clip=1.0)
+        fused, _ = run_steps(cls, kwargs, flat=True, grad_clip=1.0)
+        loop, _ = run_steps(cls, kwargs, flat=False, grad_clip=1.0)
         for (name, a), (_, b) in zip(fused.named_parameters(),
                                      loop.named_parameters()):
             np.testing.assert_allclose(a.data, b.data, rtol=0, atol=ATOL,
@@ -90,32 +99,9 @@ class TestFusedMatchesReference:
 
 
 class TestPathSwitching:
-    def test_paths_share_state_mid_run(self):
-        """Alternating paths per step equals staying fused throughout."""
-        def run(alternate):
-            grads = np.random.default_rng(3)
-            model = Net(seed=2)
-            arena = model.flatten_parameters()
-            optimizer = Adam(arena, lr=0.01, weight_decay=1e-4)
-            for step in range(6):
-                arena.grad[:] = grads.normal(size=arena.size)
-                if alternate and step % 2:
-                    with use_reference_optim():
-                        optimizer.step()
-                else:
-                    optimizer.step()
-            return model
-
-        fused = run(alternate=False)
-        mixed = run(alternate=True)
-        for (name, a), (_, b) in zip(fused.named_parameters(),
-                                     mixed.named_parameters()):
-            np.testing.assert_allclose(a.data, b.data, rtol=0, atol=ATOL,
-                                       err_msg=name)
-
     def test_step_count_matches(self):
-        _, fused = run_steps(Adam, dict(lr=0.01), reference=False)
-        _, loop = run_steps(Adam, dict(lr=0.01), reference=True)
+        _, fused = run_steps(Adam, dict(lr=0.01), flat=True)
+        _, loop = run_steps(Adam, dict(lr=0.01), flat=False)
         assert fused._step_count == loop._step_count == 5
 
 

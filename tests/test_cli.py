@@ -234,6 +234,20 @@ class TestCacheCommands:
         assert main(["cache", "info", "feedfacefeedface"]) == 1
         assert "no cache entry" in capsys.readouterr().err
 
+    def test_info_corrupt_entry_is_one_line_error(self, capsys, cache_dir):
+        from repro.datasets import DatasetCache, load_dataset
+        load_dataset("metr-la", scale="ci")
+        (entry,) = DatasetCache().entries()
+        payload = entry.path.read_bytes()
+        entry.path.write_bytes(payload[:len(payload) // 2])
+        assert main(["cache", "info", entry.key]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert "\n" not in err and "Traceback" not in err
+        assert entry.path.name in err and "unreadable" in err
+        assert entry.path.exists()
+
     def test_clear_removes_everything(self, capsys, cache_dir):
         from repro.datasets import DatasetCache, load_dataset
         load_dataset("metr-la", scale="ci")

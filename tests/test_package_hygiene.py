@@ -1,7 +1,9 @@
 """Package-level hygiene: import safety, docstrings, export consistency,
 and docs/api.md staying in sync with the public module tree."""
 
+import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -55,6 +57,41 @@ class TestPackageHygiene:
                 if inspect.isfunction(obj) or inspect.isclass(obj):
                     assert obj.__doc__, (
                         f"{package.__name__}.{name} lacks a docstring")
+
+
+def _imports(module_name: str) -> set[str]:
+    """Every module ``module_name``'s source imports, relative imports
+    resolved; ``from pkg import name`` counts as ``pkg`` and ``pkg.name``."""
+    origin = importlib.util.find_spec(module_name).origin
+    package = (module_name if origin.endswith("__init__.py")
+               else module_name.rpartition(".")[0])
+    names = set()
+    for node in ast.walk(ast.parse(Path(origin).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = importlib.util.resolve_name(
+                "." * node.level + (node.module or ""), package)
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+class TestReferenceOracleIsolation:
+    """The oracle in ``repro.nn.reference`` stays out of production:
+    only the bench suites, which time against it, may import it."""
+
+    ORACLE = "repro.nn.reference"
+
+    def test_bench_kernels_imports_oracle(self):
+        assert self.ORACLE in _imports("repro.bench.kernels")
+
+    @pytest.mark.parametrize("module_name", [
+        name for name in ALL_MODULES
+        if name != "repro.nn.reference" and not name.startswith("repro.bench")])
+    def test_module_does_not_import_oracle(self, module_name):
+        assert self.ORACLE not in _imports(module_name), (
+            f"{module_name} imports {self.ORACLE}; only repro.bench.* may")
 
 
 class TestDocsSync:
