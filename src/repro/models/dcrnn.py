@@ -52,7 +52,7 @@ class DCGRUCell(Module):
         reset, update = F.split(gates, 2, axis=-1)
         candidate_in = F.concat([x, reset * h], axis=-1)
         candidate = self.candidate_conv(candidate_in).tanh()
-        return update * h + (1.0 - update) * candidate
+        return F.gru_update(update, h, candidate)
 
 
 @register_model("dcrnn")

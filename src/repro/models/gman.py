@@ -40,7 +40,7 @@ class GatedFusion(Module):
 
     def forward(self, h_spatial: Tensor, h_temporal: Tensor) -> Tensor:
         gate = (self.fc_spatial(h_spatial) + self.fc_temporal(h_temporal)).sigmoid()
-        fused = gate * h_spatial + (1.0 - gate) * h_temporal
+        fused = F.gru_update(gate, h_spatial, h_temporal)
         return self.fc_out(fused).relu()
 
 

@@ -52,9 +52,10 @@ class _SupportConv(Module):
     """Graph convolution over a fixed list of support matrices.
 
     Input ``(..., N, C_in)`` → output ``(..., N, C_out)``:
-    ``out = sum_k (S_k X) W_k + b``.  Supports that are exactly the
-    identity (T₀ of the Chebyshev basis, the first diffusion support) skip
-    their propagation matmul.
+    ``out = sum_k (S_k X) W_k + b``, one
+    :func:`repro.nn.functional.support_conv` node.  Supports that are
+    exactly the identity (T₀ of the Chebyshev basis, the first diffusion
+    support) skip their propagation matmul.
     """
 
     def __init__(self, supports: list[np.ndarray], in_channels: int,
@@ -72,21 +73,13 @@ class _SupportConv(Module):
             (self.num_supports, in_channels, out_channels), rng))
         self.bias = Parameter(np.zeros(out_channels))
 
-    def forward(self, x: Tensor, extra_supports: list[Tensor] | None = None) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         if x.shape[-2] != self.supports.shape[-1]:
             raise ValueError(
                 f"input has {x.shape[-2]} nodes, supports expect "
                 f"{self.supports.shape[-1]}")
-        out = None
-        for k in range(self.num_supports):
-            propagated = (x if self._identity[k]               # (..., N, Cin)
-                          else Tensor(self.supports[k]).matmul(x))
-            term = propagated.matmul(self.weight[k])
-            out = term if out is None else out + term
-        if extra_supports:
-            raise ValueError("extra supports need matching weights; "
-                             "use AdaptiveDiffusionConv instead")
-        return out + self.bias
+        return F.support_conv(x, self.supports, self._identity, self.weight,
+                              self.bias)
 
 
 class ChebConv(_SupportConv):

@@ -92,7 +92,7 @@ class MetaGRUCell(Module):
         reset, update = F.split(gates, 2, axis=-1)
         cand_in = F.einsum("bni,nio->bno", x, w_xc)
         candidate = (cand_in + (reset * h).matmul(self.w_hc) + self.b_c).tanh()
-        return update * h + (1.0 - update) * candidate
+        return F.gru_update(update, h, candidate)
 
 
 class MetaGAT(Module):

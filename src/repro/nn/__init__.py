@@ -18,8 +18,8 @@ from . import (arena, checkpoint, functional, gradcheck, heap, init,
                kernels, losses, optim, profiler, summary)
 from .arena import ParameterArena, ParamSpec
 from .layers import (BatchNorm, Conv1d, Conv2d, Dropout, Embedding, GRU,
-                     GRUCell, GraphAttention, LSTM, LSTMCell, LayerNorm,
-                     Linear, MultiHeadAttention)
+                     GRUCell, LSTM, LSTMCell, LayerNorm, Linear,
+                     MultiHeadAttention)
 from .module import Module, ModuleList, Parameter, Sequential
 from .tensor import Tensor, is_grad_enabled, no_grad
 
@@ -28,7 +28,7 @@ __all__ = [
     "Module", "Parameter", "Sequential", "ModuleList",
     "ParameterArena", "ParamSpec", "arena",
     "Linear", "Conv1d", "Conv2d", "GRU", "GRUCell", "LSTM", "LSTMCell",
-    "MultiHeadAttention", "GraphAttention",
+    "MultiHeadAttention",
     "LayerNorm", "BatchNorm", "Embedding", "Dropout",
     "functional", "init", "losses", "optim", "checkpoint", "profiler",
     "summary", "gradcheck", "kernels", "heap",

@@ -3,8 +3,10 @@
 These are the ops that do not fit naturally as tensor methods: multi-input
 ops (``concat``, ``stack``, ``where``, ``einsum``), view fan-outs
 (``split``, ``unbind`` — shared-buffer backward), normalised activations
-(``softmax``, ``log_softmax``), convolution kernels (im2col-based, backed
-by :mod:`repro.nn.kernels`), and stochastic ops (``dropout``).
+(``softmax``, ``log_softmax``), fused layer ops (``linear``,
+``support_conv``, ``gru_update``, ``attention`` — one tape node each),
+convolution kernels (im2col-based, backed by :mod:`repro.nn.kernels`), and
+stochastic ops (``dropout``).
 """
 
 from __future__ import annotations
@@ -24,7 +26,11 @@ __all__ = [
     "relu", "leaky_relu", "sigmoid", "tanh", "softmax", "log_softmax", "gelu",
     "concat", "stack", "split", "unbind", "where", "einsum", "dropout",
     "conv2d", "conv1d", "huber",
+    "linear", "support_conv", "gru_update", "attention",
 ]
+
+#: Score added where an attention mask is False (excluded from the softmax).
+MASKED_SCORE = -1e9
 
 
 # --------------------------------------------------------------------- #
@@ -240,6 +246,163 @@ def huber(x: Tensor, delta: float = 1.0) -> Tensor:
         x._accumulate(g * np.where(quadratic, x.data, delta * np.sign(x.data)))
 
     return Tensor._make(out_data, (x,), backward, "huber")
+
+
+# --------------------------------------------------------------------- #
+# fused layer ops: one tape node each.  The forward makes the numpy calls
+# of the composition it replaces (kept in repro.nn.reference), in the same
+# order, so its output is bitwise that composition's; the backward closure
+# holds only the arrays it reads, not every intermediate product.
+# --------------------------------------------------------------------- #
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``x Wᵀ + b`` over the last axis: ``x`` (..., in), ``weight``
+    (out, in), ``bias`` (out,) or None.
+
+    The bias is added in place into the fresh GEMM product.  The closure
+    reads ``x`` and ``W`` only; the weight gradient is one GEMM over all
+    leading axes.
+    """
+    w = weight.data
+    out_data = x.data @ w.T
+    if bias is not None:
+        out_data += bias.data
+    parents = (x, weight) if bias is None else (x, weight, bias)
+
+    def backward(g: np.ndarray) -> None:
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(unbroadcast(g, bias.shape))
+        if weight.requires_grad:
+            x_mat = x.data.reshape(-1, w.shape[1])
+            weight._accumulate((x_mat.T @ g.reshape(-1, w.shape[0])).T)
+        if x.requires_grad:
+            x._accumulate(g @ w)
+
+    return Tensor._make(out_data, parents, backward, "linear")
+
+
+def support_conv(x: Tensor, supports: np.ndarray, identity: Sequence[bool],
+                 weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Graph convolution ``Σ_k (S_k x) W_k + b``.
+
+    ``x``: (..., N, C_in); ``supports``: constant (K, N, N) array;
+    ``weight``: (K, C_in, C_out); ``bias``: (C_out,) or None.
+    ``identity[k]`` marks ``S_k`` as exactly the identity, whose term is
+    ``x W_k`` with no propagation matmul.  The closure keeps no
+    per-support product, running sum or bias-add output, and not the
+    propagated inputs ``S_k x`` either: the backward propagates the output
+    gradient instead.
+    """
+    w = weight.data
+    out_data = None
+    for k, support in enumerate(supports):
+        propagated = x.data if identity[k] else support @ x.data
+        term = propagated @ w[k]
+        if out_data is None:
+            out_data = term
+        else:
+            out_data += term
+    if bias is not None:
+        out_data += bias.data
+    parents = (x, weight) if bias is None else (x, weight, bias)
+
+    def backward(g: np.ndarray) -> None:
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(unbroadcast(g, bias.shape))
+        if not (weight.requires_grad or x.requires_grad):
+            return
+        # S_kᵀ acts on the node axis and W_kᵀ on the channel axis, so they
+        # commute: one propagated gradient r_k = S_kᵀ g gives both the
+        # weight gradient xᵀ r_k and the input term r_k W_kᵀ.
+        if weight.requires_grad:
+            x_mat = x.data.reshape(-1, w.shape[1])
+            gw = np.empty(w.shape, dtype=g.dtype)
+        gx = None
+        for k, support in enumerate(supports):
+            r = g if identity[k] else support.T @ g         # (..., N, Cout)
+            if weight.requires_grad:
+                np.matmul(x_mat.T, r.reshape(-1, w.shape[2]), out=gw[k])
+            if x.requires_grad:
+                term = r @ w[k].T
+                if gx is None:
+                    gx = term
+                else:
+                    gx += term
+        if weight.requires_grad:
+            weight._accumulate(gw)
+        if x.requires_grad:
+            x._accumulate(gx)
+
+    return Tensor._make(out_data, parents, backward, "support_conv")
+
+
+def gru_update(u: Tensor, h: Tensor, c: Tensor) -> Tensor:
+    """The gated blend ``u·h + (1 − u)·c`` of a GRU step.
+
+    The closure reads ``u``, ``h`` and ``c`` — arrays their own nodes hold
+    anyway — instead of the three products and the sum the composition
+    leaves on the tape.
+    """
+    shape = np.broadcast_shapes(u.shape, h.shape, c.shape)
+    dtype = np.result_type(u.data, h.data, c.data)
+    out_data = np.multiply(u.data, h.data, out=np.empty(shape, dtype))
+    rest = np.subtract(1.0, u.data, out=np.empty(shape, dtype))
+    rest *= c.data
+    out_data += rest
+
+    def backward(g: np.ndarray) -> None:
+        if u.requires_grad:
+            gu = g * h.data
+            gu -= g * c.data
+            u._accumulate(unbroadcast(gu, u.shape))
+        if h.requires_grad:
+            h._accumulate(unbroadcast(g * u.data, h.shape))
+        if c.requires_grad:
+            c._accumulate(unbroadcast(g * (1.0 - u.data), c.shape))
+
+    return Tensor._make(out_data, (u, h, c), backward, "gru_update")
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor,
+              mask: np.ndarray | None = None) -> Tensor:
+    """``softmax(q kᵀ/√d [+ mask]) v`` over the last two axes.
+
+    ``q``: (..., L_q, d), ``k``: (..., L_k, d), ``v``: (..., L_k, d_v).
+    ``mask`` is a boolean array broadcastable to the score shape; ``False``
+    entries get :data:`MASKED_SCORE` and so drop out of the softmax.  The
+    scores are scaled, masked and normalised in place, and the closure
+    keeps only the attention weights beside ``q``, ``k`` and ``v``.
+    """
+    # A Python float takes the scores' dtype; an np.float64 would upcast.
+    scale = float(1.0 / np.sqrt(q.shape[-1]))
+    weights = q.data @ np.swapaxes(k.data, -1, -2)          # (..., Lq, Lk)
+    weights *= scale
+    if mask is not None:
+        kind = weights.dtype.type
+        weights += np.where(mask, kind(0.0), kind(MASKED_SCORE))
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    out_data = weights @ v.data
+
+    def backward(g: np.ndarray) -> None:
+        if v.requires_grad:
+            v._accumulate(unbroadcast(np.swapaxes(weights, -1, -2) @ g,
+                                      v.shape))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        gs = g @ np.swapaxes(v.data, -1, -2)                # d weights
+        dot = (gs * weights).sum(axis=-1, keepdims=True)
+        gs -= dot
+        gs *= weights                                       # d scores
+        gs *= scale
+        if q.requires_grad:
+            q._accumulate(unbroadcast(gs @ k.data, q.shape))
+        if k.requires_grad:
+            gk = np.swapaxes(q.data, -1, -2) @ gs           # (..., d, Lk)
+            k_swapped = (*k.shape[:-2], k.shape[-1], k.shape[-2])
+            k._accumulate(np.swapaxes(unbroadcast(gk, k_swapped), -1, -2))
+
+    return Tensor._make(out_data, (q, k, v), backward, "attention")
 
 
 # --------------------------------------------------------------------- #

@@ -1,6 +1,6 @@
 """Neural-network layers built on the autograd tensor."""
 
-from .attention import GraphAttention, MultiHeadAttention, scaled_dot_product_attention
+from .attention import MultiHeadAttention, scaled_dot_product_attention
 from .conv import Conv1d, Conv2d
 from .dropout import Dropout
 from .embedding import Embedding
@@ -10,6 +10,6 @@ from .recurrent import GRU, GRUCell, LSTM, LSTMCell
 
 __all__ = [
     "Linear", "Conv1d", "Conv2d", "GRU", "GRUCell", "LSTM", "LSTMCell",
-    "MultiHeadAttention", "GraphAttention", "scaled_dot_product_attention",
+    "MultiHeadAttention", "scaled_dot_product_attention",
     "LayerNorm", "BatchNorm", "Embedding", "Dropout",
 ]

@@ -1,38 +1,26 @@
-"""Attention layers — used by ASTGCN, GMAN, and the GAT in ST-MetaNet.
-
-The paper implements GAT with DGL; here the same computation is expressed
-directly with dense masked attention over the (small) road graph, which is
-exact for graphs of this size.
-"""
+"""Multi-head scaled dot-product attention — GMAN's building block."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .. import functional as F
-from .. import init
-from ..module import Module, Parameter
+from ..module import Module
 from ..tensor import Tensor
 from .linear import Linear
 
-__all__ = ["scaled_dot_product_attention", "MultiHeadAttention", "GraphAttention"]
-
-_NEG_INF = -1e9
+__all__ = ["scaled_dot_product_attention", "MultiHeadAttention"]
 
 
 def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
                                  mask: np.ndarray | None = None) -> Tensor:
-    """Attention over the last two axes of ``(..., L_q, d)`` tensors.
+    """Attention over the last two axes of ``(..., L_q, d)`` tensors,
+    scaled by ``1/√d`` — one :func:`repro.nn.functional.attention` node.
 
     ``mask`` is a boolean array broadcastable to the score shape; ``False``
     entries are excluded from the softmax.
     """
-    d = q.shape[-1]
-    scores = q.matmul(k.swapaxes(-1, -2)) * (1.0 / np.sqrt(d))
-    if mask is not None:
-        scores = scores + Tensor(np.where(mask, 0.0, _NEG_INF))
-    weights = F.softmax(scores, axis=-1)
-    return weights.matmul(v)
+    return F.attention(q, k, v, mask=mask)
 
 
 class MultiHeadAttention(Module):
@@ -69,38 +57,3 @@ class MultiHeadAttention(Module):
         attended = scaled_dot_product_attention(q, k, v, mask=mask)
         merged = attended.transpose(0, 2, 1, 3).reshape(batch, length_q, self.d_model)
         return self.proj_out(merged)
-
-
-class GraphAttention(Module):
-    """Single GAT layer (dense masked formulation) over a fixed graph.
-
-    Input ``(batch, nodes, features)``; attention coefficients follow
-    Velickovic et al.: ``e_ij = LeakyReLU(a^T [W h_i || W h_j])`` restricted
-    to graph edges (self-loops included).
-    """
-
-    def __init__(self, in_features: int, out_features: int, adjacency: np.ndarray,
-                 num_heads: int = 2, *, rng: np.random.Generator):
-        super().__init__()
-        self.num_heads = num_heads
-        self.out_features = out_features
-        mask = (np.asarray(adjacency) > 0) | np.eye(adjacency.shape[0], dtype=bool)
-        self.register_buffer("edge_mask", mask)
-        self.weight = Parameter(
-            init.xavier_uniform((num_heads, in_features, out_features), rng))
-        self.attn_src = Parameter(init.xavier_uniform((num_heads, out_features), rng))
-        self.attn_dst = Parameter(init.xavier_uniform((num_heads, out_features), rng))
-
-    def forward(self, x: Tensor) -> Tensor:
-        # h: (batch, heads, nodes, out)
-        h = F.einsum("bnf,hfo->bhno", x, self.weight)
-        score_src = F.einsum("bhno,ho->bhn", h, self.attn_src)
-        score_dst = F.einsum("bhno,ho->bhn", h, self.attn_dst)
-        scores = (score_src.expand_dims(3) + score_dst.expand_dims(2)).leaky_relu(0.2)
-        scores = scores + Tensor(np.where(self.edge_mask, 0.0, _NEG_INF))
-        weights = F.softmax(scores, axis=-1)            # (batch, heads, n, n)
-        out = weights.matmul(h)                          # (batch, heads, n, out)
-        batch, _, nodes, _ = out.shape
-        # Average heads (GAT-style for final layers; concat is equivalent in
-        # capacity at our scale and averaging keeps widths fixed).
-        return out.mean(axis=1)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import functional as F
 from .. import init
 from ..module import Module, Parameter
 from ..tensor import Tensor
@@ -26,10 +27,7 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_features)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x.matmul(self.weight.swapaxes(0, 1))
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return F.linear(x, self.weight, self.bias)
 
     def __repr__(self) -> str:
         return (f"Linear(in_features={self.in_features}, "

@@ -42,7 +42,7 @@ class GRUCell(Module):
         gates = (x.matmul(self.w_xg) + h.matmul(self.w_hg) + self.b_g).sigmoid()
         r, z = F.split(gates, 2, axis=-1)
         candidate = (x.matmul(self.w_xc) + (r * h).matmul(self.w_hc) + self.b_c).tanh()
-        return z * h + (1.0 - z) * candidate
+        return F.gru_update(z, h, candidate)
 
 
 class LSTMCell(Module):

@@ -4,8 +4,11 @@ The equivalence tests compare the production ops against these, and
 ``repro bench kernels`` measures its speedups from them.  Production code
 never imports this module.  :func:`im2col` gathers with freshly built
 index grids, :func:`col2im` scatters with ``np.add.at``, :func:`conv2d`
-runs both around three ``np.einsum`` contractions, and :func:`engine`
-runs a whole model on the reference paths.
+runs both around three ``np.einsum`` contractions, :func:`linear`,
+:func:`support_conv`, :func:`gru_update` and :func:`attention` are the
+unfused tensor-op compositions behind the fused single-node ops of
+:mod:`repro.nn.functional`, and :func:`engine` runs a whole model on the
+reference paths.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from . import functional, tensor
 from .kernels import _build_col_indices
 from .tensor import Tensor
 
-__all__ = ["im2col", "col2im", "conv2d", "engine"]
+__all__ = ["im2col", "col2im", "conv2d", "linear", "support_conv",
+           "gru_update", "attention", "engine"]
 
 
 def im2col(x_data: np.ndarray, kernel: tuple[int, int],
@@ -83,25 +87,69 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     return Tensor._make(out_data, parents, backward, "conv2d")
 
 
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``x Wᵀ + b`` as transpose, matmul and add nodes."""
+    out = x.matmul(weight.swapaxes(0, 1))
+    return out if bias is None else out + bias
+
+
+def support_conv(x: Tensor, supports: np.ndarray, identity,
+                 weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``Σ_k (S_k x) W_k + b`` as per-support matmuls and running sums."""
+    out = None
+    for k in range(len(supports)):
+        propagated = x if identity[k] else Tensor(supports[k]).matmul(x)
+        term = propagated.matmul(weight[k])
+        out = term if out is None else out + term
+    return out if bias is None else out + bias
+
+
+def gru_update(u: Tensor, h: Tensor, c: Tensor) -> Tensor:
+    """``u·h + (1 − u)·c`` as two products, a difference and a sum."""
+    return u * h + (1.0 - u) * c
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor,
+              mask: np.ndarray | None = None) -> Tensor:
+    """``softmax(q kᵀ/√d [+ mask]) v`` as separate nodes."""
+    scores = q.matmul(k.swapaxes(-1, -2)) * (1.0 / np.sqrt(q.shape[-1]))
+    if mask is not None:
+        scores = scores + Tensor(np.where(mask, 0.0, functional.MASKED_SCORE))
+    return functional.softmax(scores, axis=-1).matmul(v)
+
+
+#: The fused ops of :mod:`repro.nn.functional` that :func:`engine` swaps
+#: for these compositions.
+_FUSED = {"linear": linear, "support_conv": support_conv,
+          "gru_update": gru_update, "attention": attention}
+
+
 def _getitem_views(x: Tensor, indices, op: str) -> list[Tensor]:
     return [x[idx] for idx in indices]
 
 
 @contextlib.contextmanager
 def engine():
-    """Inside the block ``F.conv2d`` is :func:`conv2d`, ``split``/``unbind``
-    return plain ``getitem`` views, and every ``getitem`` adjoint takes the
-    ``np.add.at`` scatter; all three are restored on exit.
+    """Inside the block ``F.conv2d`` is :func:`conv2d`, the fused ops
+    (``F.linear``, ``F.support_conv``, ``F.gru_update``, ``F.attention``)
+    are their compositions here, ``split``/``unbind`` return plain
+    ``getitem`` views, and every ``getitem`` adjoint takes the
+    ``np.add.at`` scatter; all are restored on exit.
 
     A graph records its backward closures when it is built, so build the
     graph inside the block as well as running its backward there.
     """
     saved = functional.conv2d, functional._slice_views, tensor._is_basic_index
+    saved_fused = {name: getattr(functional, name) for name in _FUSED}
     functional.conv2d = conv2d
     functional._slice_views = _getitem_views
     tensor._is_basic_index = lambda index: False
+    for name, op in _FUSED.items():
+        setattr(functional, name, op)
     try:
         yield
     finally:
         (functional.conv2d, functional._slice_views,
          tensor._is_basic_index) = saved
+        for name, op in saved_fused.items():
+            setattr(functional, name, op)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import (BatchNorm, Conv1d, Conv2d, Dropout, Embedding, GRU,
-                      GRUCell, GraphAttention, LayerNorm, Linear,
-                      MultiHeadAttention, Tensor)
+                      GRUCell, LayerNorm, Linear, MultiHeadAttention, Tensor)
 from repro.nn.layers.attention import scaled_dot_product_attention
 
 
@@ -140,27 +139,6 @@ class TestAttention:
         mha(q, q, q).sum().backward()
         assert q.grad is not None
         assert all(p.grad is not None for p in mha.parameters())
-
-    def test_graph_attention_respects_mask(self, gen):
-        # Two disconnected components: features must not mix across them.
-        adjacency = np.array([[0, 1, 0, 0],
-                              [1, 0, 0, 0],
-                              [0, 0, 0, 1],
-                              [0, 0, 1, 0]], dtype=float)
-        gat = GraphAttention(3, 3, adjacency, num_heads=1, rng=gen)
-        x = np.zeros((1, 4, 3))
-        x[0, 0] = 100.0                       # perturb node 0
-        base = gat(Tensor(np.zeros((1, 4, 3)))).data
-        pert = gat(Tensor(x)).data
-        # nodes 2,3 (other component) unchanged
-        np.testing.assert_allclose(pert[0, 2:], base[0, 2:], atol=1e-8)
-        # node 1 (neighbour of 0) changed
-        assert np.abs(pert[0, 1] - base[0, 1]).max() > 1e-3
-
-    def test_graph_attention_shape(self, gen, small_adjacency):
-        gat = GraphAttention(4, 6, small_adjacency, num_heads=2, rng=gen)
-        out = gat(Tensor(np.zeros((2, small_adjacency.shape[0], 4))))
-        assert out.shape == (2, small_adjacency.shape[0], 6)
 
 
 class TestNorm:
