@@ -19,9 +19,8 @@ from .horizon_curve import curve_steepness, horizon_curve, render_curves
 from .patterns import PatternMasks, classify_intervals, evaluate_patterns
 from .robustness import (Corruption, add_noise, drop_sensors,
                          robustness_probe, stale_feed)
-from .significance import Comparison, compare_models, welch_test, win_matrix
-from .sweep import SweepResult, grid_sweep
-from .visualization import ascii_chart, horizon_bars, sparkline
+from .significance import Comparison, compare_models, welch_test
+from .visualization import sparkline
 
 __all__ = [
     "mae", "rmse", "mape", "HorizonMetrics", "evaluate_horizons",
@@ -32,9 +31,8 @@ __all__ = [
     "MetricSummary", "AggregateResult", "aggregate_runs",
     "save_results", "load_results",
     "fig1_table", "table3", "fig2_table", "fig3_series", "format_table",
-    "Comparison", "welch_test", "compare_models", "win_matrix",
-    "SweepResult", "grid_sweep",
-    "sparkline", "ascii_chart", "horizon_bars",
+    "Comparison", "welch_test", "compare_models",
+    "sparkline",
     "horizon_curve", "curve_steepness", "render_curves",
     "PatternMasks", "classify_intervals", "evaluate_patterns",
     "RankTable", "rank_models", "friedman_test", "leaderboard",

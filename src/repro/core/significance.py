@@ -1,9 +1,8 @@
 """Statistical comparison of repeated runs (extension beyond the paper).
 
 The paper reports mean ± std over five seeds but never tests whether model
-differences are significant.  This module adds Welch's t-test and a
-pairwise win-matrix so "Graph-WaveNet is more accurate than X" becomes a
-quantified statement.
+differences are significant.  This module adds Welch's t-test so
+"Graph-WaveNet is more accurate than X" becomes a quantified statement.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from scipy import stats
 
 from .experiment import RunResult
 
-__all__ = ["Comparison", "welch_test", "compare_models", "win_matrix"]
+__all__ = ["Comparison", "welch_test", "compare_models"]
 
 
 @dataclass
@@ -71,14 +70,3 @@ def compare_models(runs_a: list[RunResult], runs_b: list[RunResult],
                       mean_a=float(values_a.mean()),
                       mean_b=float(values_b.mean()),
                       t_statistic=t_stat, p_value=p_value)
-
-
-def win_matrix(all_runs: dict[str, list[RunResult]],
-               minutes: int = 15) -> dict[tuple[str, str], Comparison]:
-    """All pairwise comparisons among models (keyed (a, b), a < b)."""
-    names = sorted(all_runs)
-    matrix: dict[tuple[str, str], Comparison] = {}
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            matrix[(a, b)] = compare_models(all_runs[a], all_runs[b], minutes)
-    return matrix

@@ -1,18 +1,17 @@
-"""Terminal visualisation helpers: sparklines and simple line charts.
+"""Terminal visualisation: unicode sparklines.
 
 The paper's figures are matplotlib plots; in a headless benchmark the same
-information renders as unicode sparklines (for dashboards/logs) and block
-charts, keeping the repository free of plotting dependencies.
+information renders as unicode sparklines (for dashboards/logs), keeping
+the repository free of plotting dependencies.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["sparkline", "ascii_chart", "horizon_bars"]
+__all__ = ["sparkline"]
 
 _SPARK_LEVELS = "▁▂▃▄▅▆▇█"
-_BAR = "█"
 
 
 def sparkline(values, width: int | None = None) -> str:
@@ -45,42 +44,3 @@ def sparkline(values, width: int | None = None) -> str:
         level = int((value - low) / span * (len(_SPARK_LEVELS) - 1))
         chars.append(_SPARK_LEVELS[level])
     return "".join(chars)
-
-
-def ascii_chart(series: dict[str, np.ndarray], width: int = 60) -> str:
-    """One labelled sparkline per named series, with min/max annotations."""
-    if not series:
-        return ""
-    label_width = max(len(name) for name in series)
-    lines = []
-    for name, values in series.items():
-        values = np.asarray(values, dtype=float)
-        spark = sparkline(values, width)
-        finite = values[np.isfinite(values)]
-        low = finite.min() if finite.size else float("nan")
-        high = finite.max() if finite.size else float("nan")
-        lines.append(f"{name.ljust(label_width)}  {spark}  "
-                     f"[{low:.2f}, {high:.2f}]")
-    return "\n".join(lines)
-
-
-def horizon_bars(metrics: dict[str, dict[int, float]], width: int = 40) -> str:
-    """Horizontal bar chart: one bar per (model, horizon) metric value.
-
-    ``metrics`` maps model name -> {horizon minutes -> value}.
-    """
-    if not metrics:
-        return ""
-    peak = max(value for row in metrics.values() for value in row.values())
-    if peak <= 0 or not np.isfinite(peak):
-        peak = 1.0
-    label_width = max(len(name) for name in metrics)
-    lines = []
-    for name, row in metrics.items():
-        for minutes in sorted(row):
-            value = row[minutes]
-            filled = int(round(value / peak * width)) if np.isfinite(value) else 0
-            lines.append(f"{name.ljust(label_width)} {minutes:>3}m "
-                         f"{_BAR * filled}{' ' * (width - filled)} "
-                         f"{value:.3f}")
-    return "\n".join(lines)

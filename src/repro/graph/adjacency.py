@@ -12,7 +12,7 @@ import numpy as np
 
 from .road_network import RoadNetwork
 
-__all__ = ["gaussian_adjacency", "binary_adjacency", "row_normalize", "symmetrize"]
+__all__ = ["gaussian_adjacency", "row_normalize"]
 
 
 def gaussian_adjacency(network: RoadNetwork, threshold: float = 0.1,
@@ -44,23 +44,8 @@ def gaussian_adjacency(network: RoadNetwork, threshold: float = 0.1,
     return weights
 
 
-def binary_adjacency(network: RoadNetwork) -> np.ndarray:
-    """0/1 connectivity matrix (direct edges only, plus self-loops)."""
-    n = network.num_nodes
-    adj = np.zeros((n, n))
-    for src, dst in network.graph.edges:
-        adj[src, dst] = 1.0
-    np.fill_diagonal(adj, 1.0)
-    return adj
-
-
 def row_normalize(adjacency: np.ndarray) -> np.ndarray:
     """Random-walk normalisation ``D^-1 A`` (rows sum to one where nonzero)."""
     degree = adjacency.sum(axis=1, keepdims=True)
     safe = np.where(degree > 0, degree, 1.0)
     return adjacency / safe
-
-
-def symmetrize(adjacency: np.ndarray) -> np.ndarray:
-    """Maximum-symmetrisation: W <- max(W, W^T)."""
-    return np.maximum(adjacency, adjacency.T)

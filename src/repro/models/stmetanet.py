@@ -81,12 +81,20 @@ class MetaGRUCell(Module):
         self.b_g = Parameter(np.ones(2 * hidden_size))
         self.b_c = Parameter(np.zeros(hidden_size))
 
-    def forward(self, x: Tensor, h: Tensor, meta: Tensor) -> Tensor:
+    def node_weights(self, meta: Tensor) -> tuple[Tensor, Tensor]:
+        """Per-node input weights ``(w_xg, w_xc)``, shaped ``(N, in, 2H)``
+        and ``(N, in, H)``.  ``meta`` is fixed within a forward pass, so
+        they are generated once per sequence, not once per step."""
         nodes = meta.shape[0]
         w_xg = self.meta_gates(meta).reshape(nodes, self.input_size,
                                              2 * self.hidden_size)
         w_xc = self.meta_candidate(meta).reshape(nodes, self.input_size,
                                                  self.hidden_size)
+        return w_xg, w_xc
+
+    def forward(self, x: Tensor, h: Tensor,
+                weights: tuple[Tensor, Tensor]) -> Tensor:
+        w_xg, w_xc = weights
         gate_in = F.einsum("bni,nio->bno", x, w_xg)
         gates = (gate_in + h.matmul(self.w_hg) + self.b_g).sigmoid()
         reset, update = F.split(gates, 2, axis=-1)
@@ -162,14 +170,16 @@ class STMetaNet(TrafficModel):
         batch = x.shape[0]
         meta = self._meta()
         h = Tensor(np.zeros((batch, self.num_nodes, self.hidden_size)))
+        weights = self.encoder.node_weights(meta)
         for step in F.unbind(x, axis=1):
-            h = self.encoder(step, h, meta)
+            h = self.encoder(step, h, weights)
         h = self.gat(h, meta)
 
         step_input = Tensor(np.zeros((batch, self.num_nodes, 1)))
+        weights = self.decoder.node_weights(meta)
         outputs = []
         for t in range(self.horizon):
-            h = self.decoder(step_input, h, meta)
+            h = self.decoder(step_input, h, weights)
             prediction = self.projection(h)             # (B, N, 1)
             outputs.append(prediction.squeeze(2))
             use_teacher = (teacher is not None and self.training

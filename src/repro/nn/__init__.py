@@ -17,19 +17,17 @@ Importing the package applies the glibc heap policy of
 from . import (arena, checkpoint, functional, gradcheck, heap, init,
                kernels, losses, optim, profiler, summary)
 from .arena import ParameterArena, ParamSpec
-from .layers import (BatchNorm, Conv1d, Conv2d, Dropout, Embedding, GRU,
-                     GRUCell, LSTM, LSTMCell, LayerNorm, Linear,
-                     MultiHeadAttention)
-from .module import Module, ModuleList, Parameter, Sequential
+from .layers import (Conv2d, Embedding, GRU, GRUCell, LSTM, LSTMCell,
+                     LayerNorm, Linear, MultiHeadAttention)
+from .module import Module, ModuleList, Parameter
 from .tensor import Tensor, is_grad_enabled, no_grad
 
 __all__ = [
     "Tensor", "no_grad", "is_grad_enabled",
-    "Module", "Parameter", "Sequential", "ModuleList",
+    "Module", "Parameter", "ModuleList",
     "ParameterArena", "ParamSpec", "arena",
-    "Linear", "Conv1d", "Conv2d", "GRU", "GRUCell", "LSTM", "LSTMCell",
-    "MultiHeadAttention",
-    "LayerNorm", "BatchNorm", "Embedding", "Dropout",
+    "Linear", "Conv2d", "GRU", "GRUCell", "LSTM", "LSTMCell",
+    "MultiHeadAttention", "LayerNorm", "Embedding",
     "functional", "init", "losses", "optim", "checkpoint", "profiler",
     "summary", "gradcheck", "kernels", "heap",
 ]

@@ -1,12 +1,11 @@
 """Functional operations on :class:`~repro.nn.tensor.Tensor`.
 
 These are the ops that do not fit naturally as tensor methods: multi-input
-ops (``concat``, ``stack``, ``where``, ``einsum``), view fan-outs
-(``split``, ``unbind`` — shared-buffer backward), normalised activations
-(``softmax``, ``log_softmax``), fused layer ops (``linear``,
-``support_conv``, ``gru_update``, ``attention`` — one tape node each),
-convolution kernels (im2col-based, backed by :mod:`repro.nn.kernels`), and
-stochastic ops (``dropout``).
+ops (``concat``, ``stack``, ``einsum``), view fan-outs (``split``,
+``unbind`` — shared-buffer backward), the normalised activation
+``softmax``, fused layer ops (``linear``, ``support_conv``,
+``gru_update``, ``attention`` — one tape node each), and the 2-D
+convolution kernel (im2col-based, backed by :mod:`repro.nn.kernels`).
 """
 
 from __future__ import annotations
@@ -23,39 +22,12 @@ from .tensor import Tensor, is_grad_enabled, unbroadcast
 from ..obs.spans import span
 
 __all__ = [
-    "relu", "leaky_relu", "sigmoid", "tanh", "softmax", "log_softmax", "gelu",
-    "concat", "stack", "split", "unbind", "where", "einsum", "dropout",
-    "conv2d", "conv1d", "huber",
+    "softmax", "concat", "stack", "split", "unbind", "einsum", "conv2d",
     "linear", "support_conv", "gru_update", "attention",
 ]
 
 #: Score added where an attention mask is False (excluded from the softmax).
 MASKED_SCORE = -1e9
-
-
-# --------------------------------------------------------------------- #
-# thin wrappers so models can use a functional style
-# --------------------------------------------------------------------- #
-def relu(x: Tensor) -> Tensor:
-    return x.relu()
-
-
-def leaky_relu(x: Tensor, negative_slope: float = 0.2) -> Tensor:
-    return x.leaky_relu(negative_slope)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return x.sigmoid()
-
-
-def tanh(x: Tensor) -> Tensor:
-    return x.tanh()
-
-
-def gelu(x: Tensor) -> Tensor:
-    """Tanh-approximate GELU."""
-    inner = 0.7978845608028654 * (x + 0.044715 * x * x * x)
-    return 0.5 * x * (1.0 + inner.tanh())
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -69,18 +41,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         x._accumulate(out_data * (g - dot))
 
     return Tensor._make(out_data, (x,), backward, "softmax")
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - log_norm
-    soft = np.exp(out_data)
-
-    def backward(g: np.ndarray) -> None:
-        x._accumulate(g - soft * g.sum(axis=axis, keepdims=True))
-
-    return Tensor._make(out_data, (x,), backward, "log_softmax")
 
 
 # --------------------------------------------------------------------- #
@@ -174,22 +134,6 @@ def unbind(x: Tensor, axis: int = 0) -> list[Tensor]:
     return _slice_views(x, indices, "unbind")
 
 
-def where(condition, a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise select; ``condition`` is a plain bool array."""
-    condition = np.asarray(condition, dtype=bool)
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = b if isinstance(b, Tensor) else Tensor(b)
-    out_data = np.where(condition, a.data, b.data)
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(unbroadcast(np.where(condition, g, 0.0), a.shape))
-        if b.requires_grad:
-            b._accumulate(unbroadcast(np.where(condition, 0.0, g), b.shape))
-
-    return Tensor._make(out_data, (a, b), backward, "where")
-
-
 def einsum(subscripts: str, a: Tensor, b: Tensor) -> Tensor:
     """Two-operand einsum with autograd, run as one BLAS GEMM.
 
@@ -220,32 +164,6 @@ def einsum(subscripts: str, a: Tensor, b: Tensor) -> Tensor:
                                           a.data))
 
     return Tensor._make(out_data, (a, b), backward, "einsum")
-
-
-def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: identity at eval time."""
-    if not training or p <= 0.0:
-        return x
-    keep = 1.0 - p
-    mask = (rng.random(x.shape) < keep) / keep
-
-    def backward(g: np.ndarray) -> None:
-        x._accumulate(g * mask)
-
-    return Tensor._make(x.data * mask, (x,), backward, "dropout")
-
-
-def huber(x: Tensor, delta: float = 1.0) -> Tensor:
-    """Elementwise Huber penalty of ``x`` (used by masked losses)."""
-    abs_data = np.abs(x.data)
-    quadratic = abs_data <= delta
-    out_data = np.where(quadratic, 0.5 * x.data ** 2,
-                        delta * (abs_data - 0.5 * delta))
-
-    def backward(g: np.ndarray) -> None:
-        x._accumulate(g * np.where(quadratic, x.data, delta * np.sign(x.data)))
-
-    return Tensor._make(out_data, (x,), backward, "huber")
 
 
 # --------------------------------------------------------------------- #
@@ -466,13 +384,3 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             x._accumulate(gx)
 
     return Tensor._make(out_data, parents, backward, "conv2d")
-
-
-def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
-           stride: int = 1, padding: int = 0, dilation: int = 1) -> Tensor:
-    """1-D convolution via conv2d.  ``x``: (B, C, L); ``weight``: (Cout, Cin, k)."""
-    x4 = x.expand_dims(2)                                 # (B, C, 1, L)
-    w4 = weight.expand_dims(2)                            # (Cout, Cin, 1, k)
-    out = conv2d(x4, w4, bias, stride=(1, stride),
-                 padding=(0, padding), dilation=(1, dilation))
-    return out.squeeze(2)

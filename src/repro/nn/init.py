@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["xavier_uniform", "xavier_normal", "kaiming_uniform", "uniform", "zeros", "ones"]
+__all__ = ["xavier_uniform", "kaiming_uniform", "uniform", "zeros", "ones"]
 
 
 def _fan(shape: tuple[int, ...]) -> tuple[int, int]:
@@ -30,13 +30,6 @@ def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator,
     fan_in, fan_out = _fan(shape)
     bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_normal(shape: tuple[int, ...], rng: np.random.Generator,
-                  gain: float = 1.0) -> np.ndarray:
-    fan_in, fan_out = _fan(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
 
 
 def kaiming_uniform(shape: tuple[int, ...], rng: np.random.Generator,

@@ -1,15 +1,14 @@
 """Neural-network layers built on the autograd tensor."""
 
 from .attention import MultiHeadAttention, scaled_dot_product_attention
-from .conv import Conv1d, Conv2d
-from .dropout import Dropout
+from .conv import Conv2d
 from .embedding import Embedding
 from .linear import Linear
-from .norm import BatchNorm, LayerNorm
+from .norm import LayerNorm
 from .recurrent import GRU, GRUCell, LSTM, LSTMCell
 
 __all__ = [
-    "Linear", "Conv1d", "Conv2d", "GRU", "GRUCell", "LSTM", "LSTMCell",
+    "Linear", "Conv2d", "GRU", "GRUCell", "LSTM", "LSTMCell",
     "MultiHeadAttention", "scaled_dot_product_attention",
-    "LayerNorm", "BatchNorm", "Embedding", "Dropout",
+    "LayerNorm", "Embedding",
 ]

@@ -1,4 +1,4 @@
-"""Convolution layers (1-D and 2-D, with dilation — needed by the TCN models).
+"""2-D convolution layer with dilation — needed by the TCN models.
 
 Graph-WaveNet and STGCN use dilated/causal temporal convolutions over input
 shaped ``(batch, channels, nodes, time)``; ``Conv2d`` with a ``(1, k)``
@@ -14,7 +14,7 @@ from .. import init
 from ..module import Module, Parameter
 from ..tensor import Tensor
 
-__all__ = ["Conv1d", "Conv2d"]
+__all__ = ["Conv2d"]
 
 
 def _pair(value) -> tuple[int, int]:
@@ -46,33 +46,4 @@ class Conv2d(Module):
 
     def __repr__(self) -> str:
         return (f"Conv2d({self.in_channels}, {self.out_channels}, "
-                f"kernel_size={self.kernel_size}, dilation={self.dilation})")
-
-
-class Conv1d(Module):
-    """1-D convolution over ``(B, C_in, L)`` input."""
-
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 stride: int = 1, padding: int = 0, dilation: int = 1,
-                 bias: bool = True, *, rng: np.random.Generator):
-        super().__init__()
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = kernel_size
-        self.stride = stride
-        self.padding = padding
-        self.dilation = dilation
-        shape = (out_channels, in_channels, kernel_size)
-        self.weight = Parameter(init.kaiming_uniform(shape, rng))
-        self.bias = Parameter(np.zeros(out_channels)) if bias else None
-
-    def forward(self, x: Tensor) -> Tensor:
-        weight4 = self.weight.expand_dims(2)
-        x4 = x.expand_dims(2)
-        out = F.conv2d(x4, weight4, self.bias, stride=(1, self.stride),
-                       padding=(0, self.padding), dilation=(1, self.dilation))
-        return out.squeeze(2)
-
-    def __repr__(self) -> str:
-        return (f"Conv1d({self.in_channels}, {self.out_channels}, "
                 f"kernel_size={self.kernel_size}, dilation={self.dilation})")

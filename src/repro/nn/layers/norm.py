@@ -1,4 +1,4 @@
-"""Normalisation layers."""
+"""Layer normalisation."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import numpy as np
 from ..module import Module, Parameter
 from ..tensor import Tensor
 
-__all__ = ["LayerNorm", "BatchNorm"]
+__all__ = ["LayerNorm"]
 
 
 class LayerNorm(Module):
@@ -29,47 +29,3 @@ class LayerNorm(Module):
         var = (centered * centered).mean(axis=axes, keepdims=True)
         normalised = centered / (var + self.eps).sqrt()
         return normalised * self.gamma + self.beta
-
-
-class BatchNorm(Module):
-    """Batch normalisation over all axes except ``channel_axis``.
-
-    Keeps running statistics for eval mode, matching torch.nn.BatchNorm2d
-    behaviour for input ``(B, C, H, W)`` with ``channel_axis=1``.
-    """
-
-    def __init__(self, num_features: int, channel_axis: int = 1,
-                 eps: float = 1e-5, momentum: float = 0.1):
-        super().__init__()
-        self.num_features = num_features
-        self.channel_axis = channel_axis
-        self.eps = eps
-        self.momentum = momentum
-        self.gamma = Parameter(np.ones(num_features))
-        self.beta = Parameter(np.zeros(num_features))
-        self.register_buffer("running_mean", np.zeros(num_features))
-        self.register_buffer("running_var", np.ones(num_features))
-
-    def forward(self, x: Tensor) -> Tensor:
-        axis = self.channel_axis % x.ndim
-        reduce_axes = tuple(i for i in range(x.ndim) if i != axis)
-        shape = [1] * x.ndim
-        shape[axis] = self.num_features
-
-        if self.training:
-            mean = x.mean(axis=reduce_axes, keepdims=True)
-            centered = x - mean
-            var = (centered * centered).mean(axis=reduce_axes, keepdims=True)
-            self.running_mean *= (1.0 - self.momentum)
-            self.running_mean += self.momentum * mean.data.reshape(-1)
-            self.running_var *= (1.0 - self.momentum)
-            self.running_var += self.momentum * var.data.reshape(-1)
-            normalised = centered / (var + self.eps).sqrt()
-        else:
-            mean = Tensor(self.running_mean.reshape(shape))
-            var = Tensor(self.running_var.reshape(shape))
-            normalised = (x - mean) / (var + self.eps).sqrt()
-
-        gamma = self.gamma.reshape(*shape)
-        beta = self.beta.reshape(*shape)
-        return normalised * gamma + beta

@@ -1,4 +1,4 @@
-"""Masked regression losses.
+"""Masked mean absolute error, the training loss.
 
 Real loop-detector feeds contain missing readings recorded as zeros; the
 standard protocol (introduced by DCRNN and followed by the paper's models)
@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import functional as F
 from .tensor import Tensor
 
-__all__ = ["masked_mae", "masked_mse", "masked_rmse", "masked_huber"]
+__all__ = ["masked_mae"]
 
 
 def _mask_for(target: Tensor, null_value: float | None
@@ -46,21 +45,3 @@ def masked_mae(prediction: Tensor, target: Tensor,
     """Mean absolute error over non-null target entries."""
     weights, target = _mask_for(target, null_value)
     return ((prediction - target).abs() * Tensor(weights)).mean()
-
-
-def masked_mse(prediction: Tensor, target: Tensor,
-               null_value: float | None = 0.0) -> Tensor:
-    weights, target = _mask_for(target, null_value)
-    diff = prediction - target
-    return (diff * diff * Tensor(weights)).mean()
-
-
-def masked_rmse(prediction: Tensor, target: Tensor,
-                null_value: float | None = 0.0) -> Tensor:
-    return masked_mse(prediction, target, null_value).sqrt()
-
-
-def masked_huber(prediction: Tensor, target: Tensor, delta: float = 1.0,
-                 null_value: float | None = 0.0) -> Tensor:
-    weights, target = _mask_for(target, null_value)
-    return (F.huber(prediction - target, delta) * Tensor(weights)).mean()

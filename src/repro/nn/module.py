@@ -2,7 +2,8 @@
 
 Modules register :class:`Parameter` attributes and child modules
 automatically via ``__setattr__``; ``parameters()`` and ``state_dict()``
-walk the tree.  ``train()`` / ``eval()`` toggle stochastic layers.
+walk the tree.  ``train()`` / ``eval()`` set the ``training``
+flag that the seq2seq models read for teacher forcing.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["Parameter", "Module", "Sequential", "ModuleList"]
+__all__ = ["Parameter", "Module", "ModuleList"]
 
 
 class Parameter(Tensor):
@@ -174,28 +175,6 @@ class Module:
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
-
-
-class Sequential(Module):
-    """Chain of modules applied in order."""
-
-    def __init__(self, *modules: Module):
-        super().__init__()
-        self._order = []
-        for i, module in enumerate(modules):
-            setattr(self, f"layer{i}", module)
-            self._order.append(module)
-
-    def forward(self, x):
-        for module in self._order:
-            x = module(x)
-        return x
-
-    def __iter__(self):
-        return iter(self._order)
-
-    def __len__(self):
-        return len(self._order)
 
 
 class ModuleList(Module):

@@ -454,22 +454,6 @@ class Tensor:
     # ------------------------------------------------------------------ #
     # elementwise functions
     # ------------------------------------------------------------------ #
-    def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g * out_data)
-
-        return self._make(out_data, (self,), backward, "exp")
-
-    def log(self) -> "Tensor":
-        out_data = np.log(self.data)
-
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g / self.data)
-
-        return self._make(out_data, (self,), backward, "log")
-
     def sqrt(self) -> "Tensor":
         out_data = np.sqrt(self.data)
 
@@ -510,62 +494,6 @@ class Tensor:
             self._accumulate(g * mask)
 
         return self._make(out_data, (self,), backward, "relu")
-
-    def leaky_relu(self, negative_slope: float = 0.2) -> "Tensor":
-        mask = self.data > 0
-        out_data = np.where(mask, self.data, negative_slope * self.data)
-
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g * np.where(mask, 1.0, negative_slope))
-
-        return self._make(out_data, (self,), backward, "leaky_relu")
-
-    def log1p(self) -> "Tensor":
-        out_data = np.log1p(self.data)
-
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g / (1.0 + self.data))
-
-        return self._make(out_data, (self,), backward, "log1p")
-
-    def softplus(self) -> "Tensor":
-        """Numerically stable ``log(1 + exp(x))``."""
-        out_data = np.where(self.data > 30, self.data,
-                            np.log1p(np.exp(np.clip(self.data, None, 30))))
-
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g * _logistic(self.data))
-
-        return self._make(out_data, (self,), backward, "softplus")
-
-    def sin(self) -> "Tensor":
-        out_data = np.sin(self.data)
-
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g * np.cos(self.data))
-
-        return self._make(out_data, (self,), backward, "sin")
-
-    def cos(self) -> "Tensor":
-        out_data = np.cos(self.data)
-
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(-g * np.sin(self.data))
-
-        return self._make(out_data, (self,), backward, "cos")
-
-    def clip(self, low: float | None, high: float | None) -> "Tensor":
-        out_data = np.clip(self.data, low, high)
-        mask = np.ones_like(self.data, dtype=bool)
-        if low is not None:
-            mask &= self.data >= low
-        if high is not None:
-            mask &= self.data <= high
-
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g * mask)
-
-        return self._make(out_data, (self,), backward, "clip")
 
     def maximum(self, other) -> "Tensor":
         other = self._coerce(other)
@@ -628,35 +556,6 @@ class Tensor:
 
     def min(self, axis=None, keepdims: bool = False) -> "Tensor":
         return -((-self).max(axis=axis, keepdims=keepdims))
-
-    def var(self, axis=None, keepdims: bool = False) -> "Tensor":
-        """Population variance (ddof=0), differentiable."""
-        mean = self.mean(axis=axis, keepdims=True)
-        centered = self - mean
-        out = (centered * centered).mean(axis=axis, keepdims=keepdims)
-        return out
-
-    def std(self, axis=None, keepdims: bool = False,
-            eps: float = 0.0) -> "Tensor":
-        """Population standard deviation; ``eps`` guards the sqrt at 0."""
-        variance = self.var(axis=axis, keepdims=keepdims)
-        if eps:
-            variance = variance + eps
-        return variance.sqrt()
-
-    def norm(self, axis=None, keepdims: bool = False) -> "Tensor":
-        """L2 norm over ``axis`` (all axes when None)."""
-        return (self * self).sum(axis=axis, keepdims=keepdims).sqrt()
-
-    def cumsum(self, axis: int) -> "Tensor":
-        out_data = np.cumsum(self.data, axis=axis)
-
-        def backward(g: np.ndarray) -> None:
-            # Adjoint of cumsum is reversed cumsum along the same axis.
-            flipped = np.flip(g, axis=axis)
-            self._accumulate(np.flip(np.cumsum(flipped, axis=axis), axis=axis))
-
-        return self._make(out_data, (self,), backward, "cumsum")
 
     def argmax(self, axis=None) -> np.ndarray:
         """Index of the maximum (plain numpy; no gradient flows)."""

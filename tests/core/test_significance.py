@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import compare_models, welch_test, win_matrix
+from repro.core import compare_models, welch_test
 from .test_results import make_run
 
 
@@ -65,15 +65,3 @@ class TestCompareModels:
         b = self._runs("b", [1.0, 1.2])
         comparison = compare_models(a, b, minutes=60)
         assert comparison.mean_a == comparison.mean_b
-
-
-class TestWinMatrix:
-    def test_all_pairs_present(self):
-        runs = {name: [make_run(model=name, seed=s, mae15=2.0 + s * 0.1)
-                       for s in range(2)]
-                for name in ("a", "b", "c")}
-        matrix = win_matrix(runs)
-        assert set(matrix) == {("a", "b"), ("a", "c"), ("b", "c")}
-        for (a, b), comparison in matrix.items():
-            assert comparison.model_a == a
-            assert comparison.model_b == b

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import ascii_chart, horizon_bars, sparkline
+from repro.core import sparkline
 
 
 class TestSparkline:
@@ -35,40 +35,3 @@ class TestSparkline:
     def test_requires_1d(self):
         with pytest.raises(ValueError):
             sparkline(np.zeros((2, 2)))
-
-
-class TestAsciiChart:
-    def test_labels_and_ranges(self):
-        text = ascii_chart({"speed": np.array([10.0, 50.0]),
-                            "flow": np.array([0.0, 1.0])})
-        assert "speed" in text
-        assert "[10.00, 50.00]" in text
-        assert len(text.splitlines()) == 2
-
-    def test_empty(self):
-        assert ascii_chart({}) == ""
-
-    def test_labels_aligned(self):
-        text = ascii_chart({"a": np.ones(3), "longer": np.ones(3)})
-        lines = text.splitlines()
-        assert lines[0].index("▁") == lines[1].index("▁")
-
-
-class TestHorizonBars:
-    def test_renders_all_rows(self):
-        text = horizon_bars({"m1": {15: 1.0, 30: 2.0}, "m2": {15: 4.0}})
-        assert len(text.splitlines()) == 3
-        assert "m1" in text and "m2" in text
-
-    def test_largest_value_fills_width(self):
-        text = horizon_bars({"m": {15: 2.0, 60: 4.0}}, width=10)
-        lines = text.splitlines()
-        assert lines[1].count("█") == 10
-        assert lines[0].count("█") == 5
-
-    def test_empty(self):
-        assert horizon_bars({}) == ""
-
-    def test_values_printed(self):
-        text = horizon_bars({"m": {15: 1.234}})
-        assert "1.234" in text

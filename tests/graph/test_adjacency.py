@@ -1,12 +1,11 @@
-"""Adjacency construction: Gaussian kernel, normalisation, symmetrisation."""
+"""Adjacency construction: Gaussian kernel and row normalisation."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import (binary_adjacency, build_network, gaussian_adjacency,
-                         row_normalize, symmetrize)
+from repro.graph import build_network, gaussian_adjacency, row_normalize
 
 
 class TestGaussianAdjacency:
@@ -52,21 +51,6 @@ class TestGaussianAdjacency:
         assert np.all(adj_cut[dist > 0.5] == 0.0)
 
 
-class TestBinaryAdjacency:
-    def test_entries_binary(self, small_network):
-        adj = binary_adjacency(small_network)
-        assert set(np.unique(adj)) <= {0.0, 1.0}
-
-    def test_matches_edges(self, small_network):
-        adj = binary_adjacency(small_network)
-        for src, dst in small_network.graph.edges:
-            assert adj[src, dst] == 1.0
-
-    def test_self_loops(self, small_network):
-        adj = binary_adjacency(small_network)
-        np.testing.assert_array_equal(np.diag(adj), 1.0)
-
-
 class TestRowNormalize:
     def test_rows_sum_to_one(self, small_adjacency):
         normalized = row_normalize(small_adjacency)
@@ -87,14 +71,3 @@ class TestRowNormalize:
         sums = row_normalize(adj).sum(axis=1)
         for value in sums:
             assert value == pytest.approx(1.0) or value == pytest.approx(0.0)
-
-
-class TestSymmetrize:
-    def test_result_is_symmetric(self, small_adjacency):
-        sym = symmetrize(small_adjacency)
-        np.testing.assert_array_equal(sym, sym.T)
-
-    def test_takes_elementwise_max(self):
-        adj = np.array([[0.0, 0.7], [0.2, 0.0]])
-        sym = symmetrize(adj)
-        assert sym[0, 1] == sym[1, 0] == 0.7

@@ -22,7 +22,7 @@ BUDGET = {
     "stgcn": (81, 1_804_034),
     "dcrnn": (584, 2_995_714),
     "astgcn": (119, 2_500_706),
-    "st-metanet": (673, 2_184_067),
+    "st-metanet": (453, 2_134_787),
     "graph-wavenet": (81, 3_408_450),
     "stg2seq": (88, 4_368_386),
     "stsgcn": (438, 6_066_306),

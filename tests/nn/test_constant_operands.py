@@ -19,8 +19,6 @@ def normal(*shape):
     return rng.normal(size=shape)
 
 
-MASK = normal(3, 4) > 0
-
 # name -> (op over Tensors, operand arrays)
 CASES = {
     "add": (lambda a, b: a + b, [normal(3, 4), normal(4)]),
@@ -32,7 +30,6 @@ CASES = {
     "matmul-vec-vec": (lambda a, b: a.matmul(b), [normal(4), normal(4)]),
     "matmul-vec-mat": (lambda a, b: a.matmul(b), [normal(4), normal(2, 4, 5)]),
     "matmul-mat-vec": (lambda a, b: a.matmul(b), [normal(2, 3, 4), normal(4)]),
-    "where": (lambda a, b: F.where(MASK, a, b), [normal(3, 4), normal(4)]),
     "einsum": (lambda a, b: F.einsum("nm,bcmt->bcnt", a, b),
                [normal(5, 5), normal(2, 3, 5, 4)]),
     "concat": (lambda *ts: F.concat(ts, axis=1),

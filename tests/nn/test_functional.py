@@ -31,36 +31,6 @@ class TestActivations:
         b = F.softmax(Tensor(data + 1000.0), axis=-1).data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
-    def test_log_softmax_matches_log_of_softmax(self, rng):
-        data = rng.normal(size=(3, 6))
-        direct = F.log_softmax(Tensor(data)).data
-        reference = np.log(F.softmax(Tensor(data)).data)
-        np.testing.assert_allclose(direct, reference, atol=1e-10)
-
-    def test_log_softmax_gradcheck(self, rng):
-        data = rng.normal(size=(2, 4))
-        x = Tensor(data.copy(), requires_grad=True)
-        weights = rng.normal(size=(2, 4))
-        (F.log_softmax(x) * Tensor(weights)).sum().backward()
-        expected = numerical_gradient(
-            lambda: float((F.log_softmax(Tensor(data)).data * weights).sum()),
-            data)
-        np.testing.assert_allclose(x.grad, expected, atol=1e-6)
-
-    def test_gelu_shape_and_sign(self, rng):
-        x = Tensor(np.array([-10.0, 0.0, 10.0]))
-        out = F.gelu(x).data
-        assert out[0] == pytest.approx(0.0, abs=1e-3)
-        assert out[1] == pytest.approx(0.0, abs=1e-12)
-        assert out[2] == pytest.approx(10.0, abs=1e-3)
-
-    def test_wrappers_delegate(self, rng):
-        x = Tensor(rng.normal(size=(3,)))
-        np.testing.assert_array_equal(F.relu(x).data, x.relu().data)
-        np.testing.assert_array_equal(F.sigmoid(x).data, x.sigmoid().data)
-        np.testing.assert_array_equal(F.tanh(x).data, x.tanh().data)
-        np.testing.assert_array_equal(F.leaky_relu(x).data, x.leaky_relu().data)
-
 
 class TestMultiInput:
     def test_concat_grad_routing(self):
@@ -98,26 +68,6 @@ class TestMultiInput:
         first, second = F.split(x, 2)
         (first * 2 + 0 * second.sum()).sum().backward()
         np.testing.assert_allclose(x.grad, [2.0, 2.0, 0.0, 0.0])
-
-    def test_where_selects_and_routes_grads(self):
-        condition = np.array([True, False, True])
-        a = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-        b = Tensor([9.0, 8.0, 7.0], requires_grad=True)
-        out = F.where(condition, a, b)
-        np.testing.assert_allclose(out.data, [1.0, 8.0, 3.0])
-        out.sum().backward()
-        np.testing.assert_allclose(a.grad, [1.0, 0.0, 1.0])
-        np.testing.assert_allclose(b.grad, [0.0, 1.0, 0.0])
-
-    def test_where_broadcasts(self):
-        condition = np.array([[True], [False]])
-        a = Tensor(np.ones((2, 3)), requires_grad=True)
-        b = Tensor(np.zeros(3), requires_grad=True)
-        out = F.where(condition, a, b)
-        assert out.shape == (2, 3)
-        out.sum().backward()
-        assert b.grad.shape == (3,)
-        np.testing.assert_allclose(b.grad, np.ones(3))
 
 
 class TestEinsum:
@@ -245,53 +195,6 @@ class TestEinsumKernel:
                                    rtol=1e-12, atol=1e-12)
 
 
-class TestDropout:
-    def test_identity_at_eval(self, rng):
-        x = Tensor(rng.normal(size=(10,)))
-        out = F.dropout(x, 0.5, training=False, rng=np.random.default_rng(0))
-        assert out is x
-
-    def test_identity_at_p_zero(self, rng):
-        x = Tensor(rng.normal(size=(10,)))
-        out = F.dropout(x, 0.0, training=True, rng=np.random.default_rng(0))
-        assert out is x
-
-    def test_scales_kept_entries(self):
-        x = Tensor(np.ones(10000))
-        out = F.dropout(x, 0.5, training=True, rng=np.random.default_rng(0))
-        kept = out.data[out.data > 0]
-        np.testing.assert_allclose(kept, 2.0)           # inverted dropout
-        assert 0.4 < (out.data > 0).mean() < 0.6
-
-    def test_grad_masked_like_forward(self):
-        x = Tensor(np.ones(100), requires_grad=True)
-        out = F.dropout(x, 0.3, training=True, rng=np.random.default_rng(1))
-        out.sum().backward()
-        np.testing.assert_allclose(x.grad, out.data)
-
-
-class TestHuber:
-    def test_quadratic_region(self):
-        x = Tensor([0.5], requires_grad=True)
-        out = F.huber(x, delta=1.0)
-        assert out.data[0] == pytest.approx(0.125)
-        out.sum().backward()
-        np.testing.assert_allclose(x.grad, [0.5])
-
-    def test_linear_region(self):
-        x = Tensor([3.0], requires_grad=True)
-        out = F.huber(x, delta=1.0)
-        assert out.data[0] == pytest.approx(2.5)
-        out.sum().backward()
-        np.testing.assert_allclose(x.grad, [1.0])
-
-    def test_continuous_at_delta(self):
-        eps = 1e-9
-        below = F.huber(Tensor([1.0 - eps]), delta=1.0).data[0]
-        above = F.huber(Tensor([1.0 + eps]), delta=1.0).data[0]
-        assert below == pytest.approx(above, abs=1e-6)
-
-
 class TestConv:
     def test_conv2d_matches_direct_computation(self, rng):
         x = rng.normal(size=(1, 1, 3, 3))
@@ -326,14 +229,6 @@ class TestConv:
         b = Tensor(np.zeros(3), requires_grad=True)
         F.conv2d(x, w, b).sum().backward()
         np.testing.assert_allclose(b.grad, np.full(3, 8.0))  # 2*2*2 positions
-
-    def test_conv1d_equals_conv2d(self, rng):
-        x = rng.normal(size=(2, 3, 10))
-        w = rng.normal(size=(4, 3, 3))
-        out1 = F.conv1d(Tensor(x), Tensor(w), padding=1).data
-        out2 = F.conv2d(Tensor(x[:, :, None, :]), Tensor(w[:, :, None, :]),
-                        padding=(0, 1)).data[:, :, 0, :]
-        np.testing.assert_allclose(out1, out2, atol=1e-12)
 
     def test_unfold2d_shapes(self, rng):
         x = rng.normal(size=(2, 3, 5, 7))

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.nn import (BatchNorm, Conv1d, Conv2d, Dropout, Embedding, GRU,
-                      GRUCell, LayerNorm, Linear, MultiHeadAttention, Tensor)
+from repro.nn import (Conv2d, Embedding, GRU, GRUCell, LayerNorm, Linear,
+                      MultiHeadAttention, Tensor)
 from repro.nn.layers.attention import scaled_dot_product_attention
 
 
@@ -43,22 +43,16 @@ class TestConvLayers:
         out = layer(Tensor(np.zeros((2, 3, 5, 12))))
         assert out.shape == (2, 8, 5, 10)
 
-    def test_conv1d_shape(self, gen):
-        layer = Conv1d(2, 4, 3, padding=1, rng=gen)
-        out = layer(Tensor(np.zeros((2, 2, 10))))
-        assert out.shape == (2, 4, 10)
-
     def test_conv_params_registered(self, gen):
         layer = Conv2d(3, 8, (2, 2), rng=gen)
         assert layer.num_parameters() == 8 * 3 * 2 * 2 + 8
 
     def test_conv_no_bias(self, gen):
-        layer = Conv1d(1, 1, 1, bias=False, rng=gen)
+        layer = Conv2d(1, 1, (1, 1), bias=False, rng=gen)
         assert layer.bias is None
 
     def test_repr(self, gen):
         assert "Conv2d" in repr(Conv2d(1, 2, (1, 3), rng=gen))
-        assert "Conv1d" in repr(Conv1d(1, 2, 3, rng=gen))
 
 
 class TestGRU:
@@ -162,25 +156,6 @@ class TestNorm:
         out = norm(Tensor(np.random.default_rng(0).normal(size=(3, 4)))).data
         np.testing.assert_allclose(out.mean(axis=-1), 1.0, atol=1e-6)
 
-    def test_batchnorm_train_normalises_batch(self):
-        bn = BatchNorm(3)
-        x = Tensor(np.random.default_rng(0).normal(5.0, 2.0, size=(16, 3, 4, 4)))
-        out = bn(x).data
-        np.testing.assert_allclose(out.mean(axis=(0, 2, 3)), 0.0, atol=1e-7)
-
-    def test_batchnorm_eval_uses_running_stats(self):
-        bn = BatchNorm(2, momentum=1.0)
-        x = np.random.default_rng(0).normal(3.0, 2.0, size=(32, 2, 2, 2))
-        bn(Tensor(x))                          # populate running stats
-        bn.eval()
-        out = bn(Tensor(x)).data
-        np.testing.assert_allclose(out.mean(axis=(0, 2, 3)), 0.0, atol=1e-2)
-
-    def test_batchnorm_updates_running_mean(self):
-        bn = BatchNorm(1, momentum=0.5)
-        bn(Tensor(np.full((4, 1, 1, 1), 10.0)))
-        assert bn.running_mean[0] == pytest.approx(5.0)
-
 
 class TestEmbedding:
     def test_lookup(self, gen):
@@ -206,22 +181,3 @@ class TestEmbedding:
     def test_batched_indices(self, gen):
         emb = Embedding(10, 3, rng=gen)
         assert emb(np.zeros((2, 5), dtype=int)).shape == (2, 5, 3)
-
-
-class TestDropoutLayer:
-    def test_eval_is_identity(self, gen):
-        layer = Dropout(0.9, rng=gen)
-        layer.eval()
-        x = Tensor(np.ones(100))
-        np.testing.assert_array_equal(layer(x).data, x.data)
-
-    def test_train_drops(self, gen):
-        layer = Dropout(0.5, rng=np.random.default_rng(0))
-        out = layer(Tensor(np.ones(1000))).data
-        assert (out == 0).sum() > 300
-
-    def test_invalid_probability(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
-        with pytest.raises(ValueError):
-            Dropout(-0.1)

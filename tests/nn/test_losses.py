@@ -1,10 +1,10 @@
-"""Masked losses: formulas and null-value semantics."""
+"""Masked MAE: formula and null-value semantics."""
 
 import numpy as np
 import pytest
 
 from repro.nn import Tensor
-from repro.nn.losses import masked_huber, masked_mae, masked_mse, masked_rmse
+from repro.nn.losses import masked_mae
 
 
 class TestMaskedMAE:
@@ -44,39 +44,3 @@ class TestMaskedMAE:
         target = Tensor([1.0, 0.0, 1.0, 0.0])
         loss = masked_mae(prediction, target)
         assert loss.item() == pytest.approx(3.0)
-
-
-class TestMaskedMSE:
-    def test_formula(self):
-        loss = masked_mse(Tensor([2.0, 4.0]), Tensor([1.0, 2.0]),
-                          null_value=None)
-        assert loss.item() == pytest.approx((1 + 4) / 2)
-
-    def test_rmse_is_sqrt(self):
-        prediction = Tensor([2.0, 4.0])
-        target = Tensor([1.0, 2.0])
-        mse = masked_mse(prediction, target, null_value=None).item()
-        rmse = masked_rmse(prediction, target, null_value=None).item()
-        assert rmse == pytest.approx(np.sqrt(mse))
-
-
-class TestMaskedHuber:
-    def test_small_errors_quadratic(self):
-        loss = masked_huber(Tensor([1.5]), Tensor([1.0]), delta=1.0,
-                            null_value=None)
-        assert loss.item() == pytest.approx(0.5 * 0.25)
-
-    def test_large_errors_linear(self):
-        loss = masked_huber(Tensor([5.0]), Tensor([1.0]), delta=1.0,
-                            null_value=None)
-        assert loss.item() == pytest.approx(4.0 - 0.5)
-
-    def test_masking(self):
-        loss = masked_huber(Tensor([100.0, 1.2]), Tensor([0.0, 1.0]))
-        assert loss.item() == pytest.approx(0.5 * 0.04, rel=1e-6)
-
-    def test_gradient_bounded_by_delta(self):
-        prediction = Tensor([100.0], requires_grad=True)
-        masked_huber(prediction, Tensor([1.0]), delta=1.0,
-                     null_value=None).backward()
-        assert abs(prediction.grad[0]) <= 1.0 + 1e-9

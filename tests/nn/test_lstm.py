@@ -86,8 +86,8 @@ class TestSummary:
         assert heads_total > 0.5 * model.num_parameters()
 
     def test_render_contains_total(self, gen):
-        from repro.nn import Linear, Sequential
-        model = Sequential(Linear(4, 8, rng=gen), Linear(8, 2, rng=gen))
+        from repro.nn import Linear, ModuleList
+        model = ModuleList([Linear(4, 8, rng=gen), Linear(8, 2, rng=gen)])
         text = summarize(model)
         assert "TOTAL" in text
         assert f"{model.num_parameters():,}" in text

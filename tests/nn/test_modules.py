@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import (Linear, Module, ModuleList, Parameter, Sequential,
-                      Tensor, Dropout)
+from repro.nn import Linear, Module, ModuleList, Parameter, Tensor
 
 
 class TinyNet(Module):
@@ -43,15 +42,11 @@ class TestRegistration:
 
 
 class TestModes:
-    def test_train_eval_propagates(self, rng):
-        model = Sequential(Linear(2, 2, rng=np.random.default_rng(0)),
-                           Dropout(0.5))
-        model.eval()
-        assert not model.training
-        for module in model:
-            assert not module.training
-        model.train()
-        assert all(m.training for m in model)
+    def test_train_eval_propagates(self, net):
+        net.eval()
+        assert not any(m.training for _, m in net.named_modules())
+        net.train()
+        assert all(m.training for _, m in net.named_modules())
 
     def test_zero_grad(self, net):
         out = net(Tensor(np.ones((2, 3))))
@@ -105,20 +100,6 @@ class TestStateDict:
 
 
 class TestContainers:
-    def test_sequential_applies_in_order(self, rng):
-        gen = np.random.default_rng(0)
-        fc1 = Linear(3, 4, rng=gen)
-        fc2 = Linear(4, 2, rng=gen)
-        model = Sequential(fc1, fc2)
-        x = Tensor(np.ones((1, 3)))
-        np.testing.assert_allclose(model(x).data, fc2(fc1(x)).data)
-        assert len(model) == 2
-
-    def test_sequential_registers_children(self):
-        gen = np.random.default_rng(0)
-        model = Sequential(Linear(2, 2, rng=gen), Linear(2, 2, rng=gen))
-        assert len(model.parameters()) == 4
-
     def test_module_list(self):
         gen = np.random.default_rng(0)
         items = ModuleList([Linear(2, 2, rng=gen)])

@@ -57,8 +57,8 @@ class TestProfile:
     def test_works_under_no_grad(self):
         with profile() as report:
             with no_grad():
-                _ = Tensor(np.ones(3)).exp()
-        assert report.ops["exp"].count == 1
+                _ = Tensor(np.ones(3)).tanh()
+        assert report.ops["tanh"].count == 1
 
     def test_nested_model_profile(self, rng):
         layer = Linear(8, 4, rng=np.random.default_rng(0))

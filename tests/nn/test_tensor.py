@@ -9,14 +9,14 @@ from repro.nn.tensor import unbroadcast
 from ..conftest import numerical_gradient
 
 
-def check_unary(op_name, data, tol=1e-6, **kwargs):
+def check_unary(op_name, data, tol=1e-6):
     """Analytic vs numerical gradient for a unary tensor method."""
     x = Tensor(data.copy(), requires_grad=True)
-    out = getattr(x, op_name)(**kwargs)
+    out = getattr(x, op_name)()
     out.sum().backward()
 
     def value():
-        return float(getattr(Tensor(data), op_name)(**kwargs).data.sum())
+        return float(getattr(Tensor(data), op_name)().data.sum())
 
     expected = numerical_gradient(value, data)
     np.testing.assert_allclose(x.grad, expected, atol=tol, rtol=1e-4)
@@ -230,25 +230,14 @@ class TestMatmul:
 
 
 class TestElementwise:
-    @pytest.mark.parametrize("op", ["exp", "tanh", "sigmoid", "relu", "abs"])
+    @pytest.mark.parametrize("op", ["tanh", "sigmoid", "relu", "abs"])
     def test_gradcheck(self, op, rng):
         data = rng.normal(size=(4, 3)) * 0.8 + 0.3
         check_unary(op, data)
 
-    def test_log_sqrt_on_positive(self, rng):
+    def test_sqrt_on_positive(self, rng):
         data = np.abs(rng.normal(size=(5,))) + 0.5
-        check_unary("log", data)
         check_unary("sqrt", data)
-
-    def test_leaky_relu(self, rng):
-        data = rng.normal(size=(6,))
-        data = data[np.abs(data) > 1e-3]      # keep away from the kink
-        check_unary("leaky_relu", data, negative_slope=0.2)
-
-    def test_clip_grad(self):
-        x = Tensor([-2.0, 0.5, 3.0], requires_grad=True)
-        x.clip(-1.0, 1.0).sum().backward()
-        np.testing.assert_allclose(x.grad, [0.0, 1.0, 0.0])
 
     def test_maximum(self):
         a = Tensor([1.0, 5.0], requires_grad=True)

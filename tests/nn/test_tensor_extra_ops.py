@@ -1,101 +1,8 @@
-"""Extended tensor ops: log1p, softplus, trig, var/std/norm, cumsum."""
+"""Index ops that return plain numpy: argmax/argmin."""
 
 import numpy as np
-import pytest
 
 from repro.nn import Tensor
-
-from ..conftest import numerical_gradient
-
-
-def gradcheck_unary(op_name, data, tol=1e-5):
-    x = Tensor(data.copy(), requires_grad=True)
-    getattr(x, op_name)().sum().backward()
-
-    def value():
-        return float(getattr(Tensor(data), op_name)().data.sum())
-
-    np.testing.assert_allclose(x.grad, numerical_gradient(value, data),
-                               atol=tol, rtol=1e-4)
-
-
-class TestElementwiseExtras:
-    def test_log1p_gradcheck(self, rng):
-        gradcheck_unary("log1p", np.abs(rng.normal(size=(5,))) + 0.1)
-
-    def test_log1p_matches_numpy(self, rng):
-        data = rng.normal(size=(4,))
-        np.testing.assert_allclose(Tensor(data).log1p().data, np.log1p(data))
-
-    def test_softplus_gradcheck(self, rng):
-        gradcheck_unary("softplus", rng.normal(size=(6,)))
-
-    def test_softplus_stable_for_large_inputs(self):
-        out = Tensor([1000.0, -1000.0]).softplus()
-        assert np.isfinite(out.data).all()
-        assert out.data[0] == pytest.approx(1000.0)
-        assert out.data[1] == pytest.approx(0.0, abs=1e-12)
-
-    def test_sin_cos_gradcheck(self, rng):
-        data = rng.normal(size=(5,))
-        gradcheck_unary("sin", data.copy())
-        gradcheck_unary("cos", data.copy())
-
-    def test_sin_cos_identity(self, rng):
-        x = Tensor(rng.normal(size=(10,)))
-        identity = x.sin() * x.sin() + x.cos() * x.cos()
-        np.testing.assert_allclose(identity.data, 1.0, atol=1e-12)
-
-
-class TestStatisticsOps:
-    def test_var_matches_numpy(self, rng):
-        data = rng.normal(size=(4, 6))
-        out = Tensor(data).var(axis=1)
-        np.testing.assert_allclose(out.data, data.var(axis=1), atol=1e-12)
-
-    def test_std_matches_numpy(self, rng):
-        data = rng.normal(size=(20,))
-        assert Tensor(data).std().item() == pytest.approx(data.std())
-
-    def test_var_gradcheck(self, rng):
-        data = rng.normal(size=(3, 4))
-        x = Tensor(data.copy(), requires_grad=True)
-        x.var(axis=1).sum().backward()
-        expected = numerical_gradient(
-            lambda: float(data.var(axis=1).sum()), data)
-        np.testing.assert_allclose(x.grad, expected, atol=1e-5)
-
-    def test_std_eps_guards_zero(self):
-        x = Tensor(np.full(5, 3.0), requires_grad=True)
-        out = x.std(eps=1e-8)
-        out.backward()
-        assert np.isfinite(x.grad).all()
-
-    def test_norm(self, rng):
-        data = rng.normal(size=(3, 4))
-        assert Tensor(data).norm().item() == pytest.approx(
-            np.linalg.norm(data))
-
-    def test_norm_axis(self, rng):
-        data = rng.normal(size=(3, 4))
-        out = Tensor(data).norm(axis=1)
-        np.testing.assert_allclose(out.data, np.linalg.norm(data, axis=1))
-
-
-class TestCumsum:
-    def test_matches_numpy(self, rng):
-        data = rng.normal(size=(3, 5))
-        out = Tensor(data).cumsum(axis=1)
-        np.testing.assert_allclose(out.data, np.cumsum(data, axis=1))
-
-    def test_gradcheck(self, rng):
-        data = rng.normal(size=(2, 4))
-        weights = rng.normal(size=(2, 4))
-        x = Tensor(data.copy(), requires_grad=True)
-        (x.cumsum(axis=1) * Tensor(weights)).sum().backward()
-        expected = numerical_gradient(
-            lambda: float((np.cumsum(data, axis=1) * weights).sum()), data)
-        np.testing.assert_allclose(x.grad, expected, atol=1e-5)
 
 
 class TestArgOps:

@@ -1,10 +1,13 @@
 """Package-level hygiene: import safety, docstrings, export consistency,
-and docs/api.md staying in sync with the public module tree."""
+no exported name without a caller, and docs/api.md staying in sync with
+the public module tree."""
 
 import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,7 +19,8 @@ ALL_MODULES = [m.name for m in pkgutil.walk_packages(repro.__path__, "repro.")]
 PUBLIC_MODULES = [name for name in ALL_MODULES
                   if not any(part.startswith("_") for part in name.split("."))]
 
-DOCS_API = Path(__file__).resolve().parent.parent / "docs" / "api.md"
+REPO = Path(__file__).resolve().parent.parent
+DOCS_API = REPO / "docs" / "api.md"
 
 
 class TestPackageHygiene:
@@ -92,6 +96,137 @@ class TestReferenceOracleIsolation:
     def test_module_does_not_import_oracle(self, module_name):
         assert self.ORACLE not in _imports(module_name), (
             f"{module_name} imports {self.ORACLE}; only repro.bench.* may")
+
+
+#: Directories whose code counts as a caller; tests do not.
+CALLER_ROOTS = ("src", "benchmarks", "examples", "perfbench")
+
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+
+
+def _is_all(node: ast.AST) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(target, ast.Name) and target.id == "__all__"
+        for target in node.targets)
+
+
+def _references(tree: ast.AST) -> Counter:
+    """How often a module's code refers to each identifier.
+
+    A name counts when it is read, called or assigned (``Name``), taken as
+    an attribute, or spelled as a whole string constant (``getattr`` and
+    patch lookups); a module counts when something imports from it, and a
+    class when ``@register_model`` puts it in the registry, from which
+    callers look it up by model name.  Definitions, imported names,
+    ``__all__`` entries and the op label a node hands to ``Tensor._make``
+    do not count: they name a thing without using it.
+    """
+    words: Counter = Counter()
+    skipped: set[int] = set()
+    for node in ast.walk(tree):
+        if _is_all(node):
+            skipped.update(id(sub) for sub in ast.walk(node.value))
+        elif (isinstance(node, ast.Call) and node.args
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "_make"):
+            skipped.add(id(node.args[-1]))
+        elif isinstance(node, ast.ClassDef) and any(
+                isinstance(dec, ast.Call)
+                and getattr(dec.func, "id", None) == "register_model"
+                for dec in node.decorator_list):
+            words[node.name] += 1
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            words[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            words[node.attr] += 1
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in skipped
+              and _IDENTIFIER.fullmatch(node.value)):
+            words[node.value] += 1
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                words.update(alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            words.update(node.module.split("."))
+    return words
+
+
+def _caller_references() -> Counter:
+    words: Counter = Counter()
+    for root in CALLER_ROOTS:
+        for path in sorted((REPO / root).rglob("*.py")):
+            if "tests" in path.relative_to(REPO / root).parts:
+                continue
+            words.update(_references(
+                ast.parse(path.read_text(encoding="utf-8"))))
+    return words
+
+
+def _exported_names() -> set[str]:
+    names = set()
+    for module_name in ["repro", *ALL_MODULES]:
+        module = importlib.import_module(module_name)
+        names.update(getattr(module, "__all__", ()))
+    return names
+
+
+class TestNoTestOnlyNames:
+    """Every name a ``repro`` module exports has a caller outside the
+    tests, so the library does not grow surface that only its own tests
+    use.  A deliberate exception needs an entry, with its reason, here."""
+
+    ALLOWED = {
+        "density_from_speed":
+            "test oracle: the inverse that speed_from_density is checked "
+            "against",
+        "col_indices_cache_info":
+            "seam through which tests observe the im2col index cache",
+        "clear_col_indices_cache":
+            "seam through which tests reset the im2col index cache",
+        "gradcheck":
+            "test oracle: the numerical gradients every backward is "
+            "checked against",
+        "check_gradients":
+            "test oracle: compares a backward with gradcheck's numerical "
+            "gradients",
+        "heap":
+            "imported by repro.nn for its side effect, the glibc heap "
+            "policy",
+        "LSTM":
+            "documented multi-step LSTM layer (docs/api.md), the LSTMCell "
+            "counterpart of GRU",
+        "load_saved_dataset":
+            "reader of the .npz files save_dataset writes (docs/api.md)",
+        "read_manifest":
+            "reader of the run.json manifests write_manifest writes "
+            "(docs/observability.md)",
+        "CheckpointCallback":
+            "documented resumable-training callback (docs/training.md)",
+        "current_span":
+            "documented span API for user code (docs/observability.md)",
+        "spans_enabled":
+            "documented span API for user code (docs/observability.md)",
+        "parameter_breakdown":
+            "per-submodule parameter counts, the data behind summarize",
+    }
+
+    def test_every_exported_name_has_a_caller(self):
+        words = _caller_references()
+        unused = sorted(name for name in _exported_names()
+                        if words[name] == 0 and name not in self.ALLOWED)
+        assert not unused, (
+            f"exported names with no caller in {', '.join(CALLER_ROOTS)}: "
+            f"{unused}; delete them with their tests, or add an ALLOWED "
+            "entry that says why they stay")
+
+    def test_allowed_names_are_still_unused_exports(self):
+        words = _caller_references()
+        exported = _exported_names()
+        stale = sorted(name for name in self.ALLOWED
+                       if name not in exported or words[name] > 0)
+        assert not stale, (f"ALLOWED entries that are no longer unused "
+                           f"exports: {stale}; remove them")
 
 
 class TestDocsSync:
