@@ -1,21 +1,19 @@
 """Optimizer benchmark suite: fused arena updates vs. the reference loop.
 
 The paper's models carry hundreds of small gate matrices (DCRNN-style
-recurrent cells), so the per-parameter optimizer loop used to pay one
-round of numpy-call overhead per parameter per step.  This suite times
-every optimizer both ways on a synthetic many-parameter model — the fused
-single-array path over a :class:`repro.nn.arena.ParameterArena` against
-the per-parameter loop over an unflattened twin of the same model (its
-plain parameter list, the pre-arena program) — plus the two other hot
-arena operations, gradient clipping and ``zero_grad``.
+recurrent cells), so a per-parameter optimizer loop pays one round of
+numpy-call overhead per parameter per step.  This suite times the three
+hot arena operations both ways on a synthetic many-parameter model: the
+fused single-array path over a :class:`repro.nn.arena.ParameterArena`
+against the per-parameter oracle of :mod:`repro.nn.reference`, run on an
+unflattened twin of the same model.
 
 Cases
 -----
-- ``adam_step`` / ``adamw_step`` / ``sgd_step`` / ``rmsprop_step`` /
-  ``adagrad_step`` — one optimizer step (with weight decay / momentum
-  engaged where the optimizer supports it)
+- ``adam_step``       — one Adam step with L2 weight decay
+  (:func:`repro.nn.reference.adam_step` is the reference side)
 - ``clip_grad_norm``  — global-L2 norm over all gradients (one reduction
-  on the flat buffer vs. a per-parameter sum)
+  on the flat buffer vs. :func:`repro.nn.reference.clip_grad_norm`)
 - ``zero_grad``       — one memset of the arena grad buffer vs. a
   per-parameter loop
 
@@ -30,11 +28,13 @@ See ``docs/training.md``.
 from __future__ import annotations
 
 import copy
+import itertools
 
 import numpy as np
 
+from ..nn import reference
 from ..nn.module import Module, Parameter
-from ..nn.optim import SGD, Adagrad, Adam, AdamW, RMSprop, clip_grad_norm
+from ..nn.optim import Adam, clip_grad_norm
 from .harness import Suite, best_of
 
 __all__ = ["SUITE"]
@@ -76,17 +76,18 @@ def _timed(build):
     side, timed first, unless the case brings its own reference closure."""
     def make(sizes: dict, rng: np.random.Generator):
         twin_rng = copy.deepcopy(rng)
-        step, meta, *reference = build(sizes, rng, flat=True)
-        reference = reference or build(sizes, twin_rng, flat=False)[:1]
-        return (best_of(reference[0], sizes["repeats"]),
+        step, meta, *own_reference = build(sizes, rng, flat=True)
+        reference_step = (own_reference
+                          or build(sizes, twin_rng, flat=False)[:1])[0]
+        return (best_of(reference_step, sizes["repeats"]),
                 best_of(step, sizes["repeats"]), meta)
 
     return make
 
 
 def _make_model(sizes: dict, rng: np.random.Generator, flat: bool):
-    """The synthetic model's arena (``flat``) or its plain parameter list —
-    the pre-arena program — holding one gradient draw, and the meta."""
+    """The synthetic model's arena (``flat``) or, for the reference side,
+    its plain parameter list, holding one gradient draw; and the meta."""
     model = _SyntheticModel(sizes["params"], sizes["dim"], rng)
     counts = [p.size for p in model.parameters()]
     draw = rng.normal(size=sum(counts))
@@ -101,23 +102,31 @@ def _make_model(sizes: dict, rng: np.random.Generator, flat: bool):
     return model.parameters(), meta
 
 
-def _case_optimizer(cls, **kwargs):
-    def make(sizes: dict, rng: np.random.Generator, flat: bool):
-        parameters, meta = _make_model(sizes, rng, flat)
-        optimizer = cls(parameters, lr=1e-3, **kwargs)
-        return optimizer.step, {**meta, **kwargs}
+def _case_adam_step(sizes: dict, rng: np.random.Generator, flat: bool):
+    parameters, meta = _make_model(sizes, rng, flat)
+    kwargs = dict(lr=1e-3, weight_decay=1e-5)
+    meta["weight_decay"] = kwargs["weight_decay"]
+    if flat:
+        return Adam(parameters, **kwargs).step, meta
+    m = [np.zeros_like(p.data) for p in parameters]
+    v = [np.zeros_like(p.data) for p in parameters]
+    steps = itertools.count(1)
 
-    return make
+    def reference_step():
+        reference.adam_step(parameters, m, v, next(steps), **kwargs)
+
+    return reference_step, meta
 
 
 def _case_clip_grad_norm(sizes: dict, rng: np.random.Generator, flat: bool):
     parameters, meta = _make_model(sizes, rng, flat)
+    clip = clip_grad_norm if flat else reference.clip_grad_norm
     # A norm far below the threshold: no rescale, so every call does the
     # same work (the norm reduction) on both paths.
-    max_norm = clip_grad_norm(parameters, float("inf")) * 10.0
+    max_norm = clip(parameters, float("inf")) * 10.0
 
     def step():
-        clip_grad_norm(parameters, max_norm)
+        clip(parameters, max_norm)
 
     return step, meta
 
@@ -132,18 +141,14 @@ def _case_zero_grad(sizes: dict, rng: np.random.Generator, flat: bool):
         for param in parameters:
             param.zero_grad()
 
-    return SGD(arena, lr=1e-3).zero_grad, meta, reference_step
+    return Adam(arena, lr=1e-3).zero_grad, meta, reference_step
 
 
 SUITE = Suite(
     name="optim",
     modes=MODES,
     cases={name: _timed(build) for name, build in [
-        ("adam_step", _case_optimizer(Adam, weight_decay=1e-5)),
-        ("adamw_step", _case_optimizer(AdamW, weight_decay=1e-2)),
-        ("sgd_step", _case_optimizer(SGD, momentum=0.9, weight_decay=1e-5)),
-        ("rmsprop_step", _case_optimizer(RMSprop, momentum=0.9)),
-        ("adagrad_step", _case_optimizer(Adagrad)),
+        ("adam_step", _case_adam_step),
         ("clip_grad_norm", _case_clip_grad_norm),
         ("zero_grad", _case_zero_grad),
     ]},

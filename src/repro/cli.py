@@ -15,8 +15,9 @@ Commands
   a Chrome-tracing/Perfetto-loadable timeline
 - ``bench``    — engine benchmarks (``bench kernels`` times the hot
   kernels against the reference ``np.add.at`` paths; ``bench optim``
-  times the fused arena optimizer updates against the per-parameter
-  reference loop; ``bench data`` times the lazy window pipeline and the
+  times the fused Adam step, clipping and ``zero_grad`` over the
+  parameter arena against their per-parameter reference loops;
+  ``bench data`` times the lazy window pipeline and the
   dataset cache against eager builds and cold loads; ``bench obs``
   times the tracing layer itself; ``--json`` records the matching
   ``BENCH_<suite>.json``; ``bench check`` re-runs suites and exits

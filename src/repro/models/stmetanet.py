@@ -23,7 +23,7 @@ from ..nn import functional as F
 from ..nn import init
 from ..nn.layers import Linear
 from ..nn.losses import masked_mae
-from ..nn.module import Module, ModuleList, Parameter
+from ..nn.module import Module, Parameter
 from ..nn.tensor import Tensor
 from .base import TrafficModel, register_model
 

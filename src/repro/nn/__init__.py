@@ -17,7 +17,7 @@ Importing the package applies the glibc heap policy of
 from . import (arena, checkpoint, functional, gradcheck, heap, init,
                kernels, losses, optim, profiler, summary)
 from .arena import ParameterArena, ParamSpec
-from .layers import (Conv2d, Embedding, GRU, GRUCell, LSTM, LSTMCell,
+from .layers import (Conv2d, Embedding, GRU, GRUCell, LSTMCell,
                      LayerNorm, Linear, MultiHeadAttention)
 from .module import Module, ModuleList, Parameter
 from .tensor import Tensor, is_grad_enabled, no_grad
@@ -26,7 +26,7 @@ __all__ = [
     "Tensor", "no_grad", "is_grad_enabled",
     "Module", "Parameter", "ModuleList",
     "ParameterArena", "ParamSpec", "arena",
-    "Linear", "Conv2d", "GRU", "GRUCell", "LSTM", "LSTMCell",
+    "Linear", "Conv2d", "GRU", "GRUCell", "LSTMCell",
     "MultiHeadAttention", "LayerNorm", "Embedding",
     "functional", "init", "losses", "optim", "checkpoint", "profiler",
     "summary", "gradcheck", "kernels", "heap",

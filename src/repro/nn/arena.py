@@ -17,9 +17,13 @@ instead of dropping it to ``None``), so the autograd engine's in-place
 accumulation writes straight into ``ParameterArena.grad``.
 
 The per-parameter layout is recorded as a list of :class:`ParamSpec`
-(name/shape/offset) — the same spec the checkpoint format persists, so an
-optimizer state written from an arena can be restored into per-parameter
-buffers and vice versa (see :mod:`repro.nn.checkpoint`).
+(name/shape/offset) — the same spec the checkpoint format persists next
+to the optimizer's flat state buffers (see :mod:`repro.nn.checkpoint`).
+
+:func:`arena_for` is the one place that decides which arena holds a set
+of parameters: :meth:`repro.nn.Module.flatten_parameters` and
+:class:`repro.nn.optim.Adam` both ask it, so a model and its optimizer
+always share one arena.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ParamSpec", "ParameterArena"]
+__all__ = ["ParamSpec", "ParameterArena", "arena_for"]
 
 
 @dataclass(frozen=True)
@@ -55,9 +59,9 @@ class ParameterArena:
     - ``param.grad`` becomes a reshaped view of ``arena.grad`` (zeroed, or
       seeded with the pre-existing gradient when one was set).
 
-    Use :meth:`repro.nn.Module.flatten_parameters` rather than
-    constructing arenas directly — it deduplicates shared parameters and
-    memoises the arena on the module.
+    Use :meth:`repro.nn.Module.flatten_parameters` or :func:`arena_for`
+    rather than constructing arenas directly — they reuse the arena the
+    parameters are already bound to.
     """
 
     def __init__(self, named_parameters):
@@ -145,9 +149,9 @@ class ParameterArena:
     def state_like(self) -> tuple[np.ndarray, list[np.ndarray]]:
         """A zeroed flat buffer plus its per-parameter views.
 
-        Optimizers allocate their moment/velocity state this way so the
-        fused path updates the flat array while the reference per-parameter
-        loop updates the views — one set of numbers, two access patterns.
+        :class:`~repro.nn.optim.Adam` allocates its moment buffers this
+        way: the update writes the flat array, and the views show each
+        parameter's slice of it in the parameter's shape.
         """
         flat = np.zeros_like(self.data)
         views = [flat[s.offset:s.offset + s.size].reshape(s.shape)
@@ -162,3 +166,18 @@ class ParameterArena:
     def __repr__(self) -> str:
         return (f"ParameterArena({len(self.parameters)} parameters, "
                 f"{self.size:,} elements, dtype={self.data.dtype})")
+
+
+def arena_for(named_parameters) -> ParameterArena:
+    """The arena holding ``named_parameters`` (``(name, Parameter)`` pairs).
+
+    Parameters already bound to one arena that :meth:`~ParameterArena.covers`
+    them (tied parameters counted once) keep it; any other set is packed
+    into a new arena, which rebinds every parameter to it.
+    """
+    named = list(named_parameters)
+    unique = list({id(param): param for _, param in named}.values())
+    arena = unique[0]._arena if unique else None
+    if arena is not None and arena.covers(unique):
+        return arena
+    return ParameterArena(named)

@@ -5,13 +5,10 @@ a checkpoint bundles the model state dict, the optimizer's mutable
 buffers, and arbitrary metadata (epoch counter, best validation score) in
 one ``.npz`` archive.
 
-Optimizer state is stored arena-style: each buffer family (Adam moments,
-SGD velocity, RMSprop square averages, Adagrad accumulators) is one flat
-array, accompanied by a JSON ``spec`` recording every parameter's
-name/shape/offset inside it — the same layout
-:class:`repro.nn.arena.ParameterArena` uses in memory.  The loader also
-accepts the pre-arena format (enumerated ``m{i}``/``v{i}``/``velocity{i}``
-keys), so old archives keep loading.
+Optimizer state is Adam's: the learning rate, the step count, and the
+two moment buffers ``m``/``v``, each one flat array, accompanied by a
+JSON ``spec`` recording every parameter's name/shape/offset inside them
+— the same layout :class:`repro.nn.arena.ParameterArena` uses in memory.
 """
 
 from __future__ import annotations
@@ -23,125 +20,53 @@ import numpy as np
 
 from .module import Module
 from .optim.adam import Adam
-from .optim.optimizer import Optimizer
-from .optim.rmsprop import Adagrad, RMSprop
-from .optim.sgd import SGD
 
 __all__ = ["save_checkpoint", "load_checkpoint", "optimizer_state",
            "load_optimizer_state"]
 
-#: Buffer families persisted per optimizer class: attribute holding the
-#: per-parameter arrays -> key in the saved state.
-_BUFFER_FIELDS: dict[type, dict[str, str]] = {
-    Adam: {"_m": "m", "_v": "v"},                     # covers AdamW too
-    SGD: {"_velocity": "velocity"},
-    RMSprop: {"_square_avg": "square_avg", "_buffer": "momentum_buffer"},
-    Adagrad: {"_accumulator": "accumulator"},
-}
 
+def optimizer_state(optimizer: Adam) -> dict[str, np.ndarray]:
+    """Extract an optimizer's mutable state as a flat dict.
 
-def _buffer_fields(optimizer: Optimizer) -> dict[str, str]:
-    for cls, fields in _BUFFER_FIELDS.items():
-        if isinstance(optimizer, cls):
-            return fields
-    return {}
-
-
-def _build_spec(optimizer: Optimizer) -> list[dict]:
-    """Per-parameter name/shape/offset placement for the flat buffers."""
-    if optimizer.arena is not None:
-        return [{"name": s.name, "shape": list(s.shape), "offset": s.offset}
-                for s in optimizer.arena.specs]
-    spec = []
-    offset = 0
-    for i, param in enumerate(optimizer.parameters):
-        spec.append({"name": f"param{i}", "shape": list(param.shape),
-                     "offset": offset})
-        offset += param.size
-    return spec
-
-
-def _flatten_buffers(buffers: list[np.ndarray]) -> np.ndarray:
-    if not buffers:
-        return np.zeros(0)
-    return np.concatenate([np.asarray(b).ravel() for b in buffers])
-
-
-def optimizer_state(optimizer: Optimizer) -> dict[str, np.ndarray]:
-    """Extract an optimizer's mutable buffers as a flat dict.
-
-    Every supported optimizer (Adam/AdamW, SGD, RMSprop, Adagrad) stores
-    each buffer family as one flat array plus a JSON ``spec`` blob giving
-    per-parameter name/shape/offset, so the state survives arena and
-    per-parameter representations alike.
+    ``lr`` and ``step_count``, copies of the flat moment buffers ``m`` and
+    ``v``, and a JSON ``spec`` blob giving each parameter's
+    name/shape/offset inside them.
     """
-    state: dict[str, np.ndarray] = {"lr": np.asarray(optimizer.lr)}
-    spec = {"class": type(optimizer).__name__, "params": _build_spec(optimizer)}
-    state["spec"] = np.frombuffer(json.dumps(spec).encode(), dtype=np.uint8)
-    if isinstance(optimizer, Adam):
-        state["step_count"] = np.asarray(optimizer._step_count)
-    for attr, key in _buffer_fields(optimizer).items():
-        state[key] = _flatten_buffers(getattr(optimizer, attr))
-    return state
+    spec = {"class": type(optimizer).__name__,
+            "params": [{"name": s.name, "shape": list(s.shape),
+                        "offset": s.offset} for s in optimizer.arena.specs]}
+    return {"lr": np.asarray(optimizer.lr),
+            "spec": np.frombuffer(json.dumps(spec).encode(), dtype=np.uint8),
+            "step_count": np.asarray(optimizer._step_count),
+            "m": optimizer._m_flat.copy(),
+            "v": optimizer._v_flat.copy()}
 
 
-def _load_new_format(optimizer: Optimizer,
-                     state: dict[str, np.ndarray]) -> None:
+def load_optimizer_state(optimizer: Adam,
+                         state: dict[str, np.ndarray]) -> None:
+    """Restore state extracted by :func:`optimizer_state` (in place)."""
+    optimizer.lr = float(state["lr"])
     spec = json.loads(bytes(np.asarray(state["spec"])).decode())
     params = spec.get("params", [])
-    if len(params) != len(optimizer.parameters):
+    specs = optimizer.arena.specs
+    if len(params) != len(specs):
         raise ValueError(
             f"optimizer state holds {len(params)} parameters, the "
-            f"optimizer has {len(optimizer.parameters)}")
-    for entry, param in zip(params, optimizer.parameters):
-        if tuple(entry["shape"]) != param.shape:
+            f"optimizer has {len(specs)}")
+    for entry, current in zip(params, specs):
+        if tuple(entry["shape"]) != current.shape:
             raise ValueError(
                 f"shape mismatch for {entry['name']!r}: saved "
-                f"{tuple(entry['shape'])} vs current {param.shape}")
-    if isinstance(optimizer, Adam):
-        optimizer._step_count = int(state["step_count"])
-    for attr, key in _buffer_fields(optimizer).items():
+                f"{tuple(entry['shape'])} vs current {current.shape}")
+    optimizer._step_count = int(state["step_count"])
+    for key, buffer in (("m", optimizer._m_flat), ("v", optimizer._v_flat)):
         if key not in state:
             raise KeyError(f"optimizer state is missing buffer {key!r}")
-        flat = np.asarray(state[key]).ravel()
-        buffers = getattr(optimizer, attr)
-        for entry, buffer in zip(params, buffers):
-            offset, size = entry["offset"], buffer.size
-            buffer[...] = flat[offset:offset + size].reshape(buffer.shape)
-
-
-def _load_legacy_format(optimizer: Optimizer,
-                        state: dict[str, np.ndarray]) -> None:
-    """Restore pre-arena archives (enumerated per-parameter keys)."""
-    if isinstance(optimizer, Adam):
-        optimizer._step_count = int(state["step_count"])
-        for i in range(len(optimizer.parameters)):
-            optimizer._m[i][...] = state[f"m{i}"]
-            optimizer._v[i][...] = state[f"v{i}"]
-    elif isinstance(optimizer, SGD):
-        for i in range(len(optimizer.parameters)):
-            optimizer._velocity[i][...] = state[f"velocity{i}"]
-    # Older archives stored nothing beyond ``lr`` for other optimizers
-    # (their buffers were silently dropped at save time); only the
-    # learning rate can be restored for those.
-
-
-def load_optimizer_state(optimizer: Optimizer,
-                         state: dict[str, np.ndarray]) -> None:
-    """Restore buffers extracted by :func:`optimizer_state` (in place).
-
-    Accepts both the current arena-style format (flat buffers + ``spec``)
-    and the legacy enumerated ``m{i}``/``v{i}``/``velocity{i}`` layout.
-    """
-    optimizer.lr = float(state["lr"])
-    if "spec" in state:
-        _load_new_format(optimizer, state)
-    else:
-        _load_legacy_format(optimizer, state)
+        buffer[...] = np.asarray(state[key]).ravel()
 
 
 def save_checkpoint(path: str | Path, model: Module,
-                    optimizer: Optimizer | None = None,
+                    optimizer: Adam | None = None,
                     metadata: dict | None = None) -> None:
     """Write model (+ optional optimizer) state and JSON metadata.
 
@@ -163,7 +88,7 @@ def save_checkpoint(path: str | Path, model: Module,
 
 
 def load_checkpoint(path: str | Path, model: Module,
-                    optimizer: Optimizer | None = None) -> dict:
+                    optimizer: Adam | None = None) -> dict:
     """Restore model (+ optional optimizer); returns the metadata dict."""
     with np.load(path) as archive:
         model_state = {key[len("model/"):]: archive[key]

@@ -5,10 +5,10 @@ from .conv import Conv2d
 from .embedding import Embedding
 from .linear import Linear
 from .norm import LayerNorm
-from .recurrent import GRU, GRUCell, LSTM, LSTMCell
+from .recurrent import GRU, GRUCell, LSTMCell
 
 __all__ = [
-    "Linear", "Conv2d", "GRU", "GRUCell", "LSTM", "LSTMCell",
+    "Linear", "Conv2d", "GRU", "GRUCell", "LSTMCell",
     "MultiHeadAttention", "scaled_dot_product_attention",
     "LayerNorm", "Embedding",
 ]

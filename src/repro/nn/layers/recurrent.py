@@ -14,7 +14,7 @@ from .. import init
 from ..module import Module, Parameter
 from ..tensor import Tensor
 
-__all__ = ["GRUCell", "GRU", "LSTMCell", "LSTM"]
+__all__ = ["GRUCell", "GRU", "LSTMCell"]
 
 
 class GRUCell(Module):
@@ -75,43 +75,6 @@ class LSTMCell(Module):
         c_next = f_gate * c + i_gate * g_gate
         h_next = o_gate * c_next.tanh()
         return h_next, c_next
-
-
-class LSTM(Module):
-    """Multi-step LSTM over ``(batch, time, features)``.
-
-    Returns ``(outputs, (h_list, c_list))`` with outputs
-    ``(batch, time, hidden)``.
-    """
-
-    def __init__(self, input_size: int, hidden_size: int, num_layers: int = 1,
-                 *, rng: np.random.Generator):
-        super().__init__()
-        from ..module import ModuleList
-        self.hidden_size = hidden_size
-        self.num_layers = num_layers
-        self.cells = ModuleList(
-            [LSTMCell(input_size if i == 0 else hidden_size, hidden_size,
-                      rng=rng) for i in range(num_layers)])
-
-    def forward(self, x: Tensor, state=None):
-        batch, time, _ = x.shape
-        if state is None:
-            h = [Tensor(np.zeros((batch, self.hidden_size)))
-                 for _ in range(self.num_layers)]
-            c = [Tensor(np.zeros((batch, self.hidden_size)))
-                 for _ in range(self.num_layers)]
-        else:
-            h, c = [list(s) for s in state]
-        outputs = []
-        # unbind makes the T per-step slices share one gradient buffer
-        # instead of T full-size scatters on the backward pass.
-        for step in F.unbind(x, axis=1):
-            for layer, cell in enumerate(self.cells):
-                h[layer], c[layer] = cell(step, (h[layer], c[layer]))
-                step = h[layer]
-            outputs.append(step)
-        return F.stack(outputs, axis=1), (h, c)
 
 
 class GRU(Module):

@@ -93,25 +93,14 @@ class Module:
         """Pack every parameter into one flat arena; returns the arena.
 
         All parameter data (and gradients) are rebound as views into one
-        contiguous buffer pair, enabling the fused single-array optimizer
-        paths and one-reduction gradient clipping (see
-        :mod:`repro.nn.arena`).  Idempotent: calling again returns the
-        existing arena while it still covers the parameter tree exactly.
+        contiguous buffer pair, enabling the fused optimizer update and
+        one-reduction gradient clipping (see :mod:`repro.nn.arena`).
+        Idempotent: while the parameters stay bound to one arena that
+        covers the tree exactly, that arena is returned.
         """
-        from .arena import ParameterArena
+        from .arena import arena_for
 
-        existing = getattr(self, "_flat_arena", None)
-        seen: set[int] = set()
-        unique = []
-        for param in self.parameters():
-            if id(param) not in seen:       # tied parameters appear once
-                seen.add(id(param))
-                unique.append(param)
-        if existing is not None and existing.covers(unique):
-            return existing
-        arena = ParameterArena(self.named_parameters())
-        object.__setattr__(self, "_flat_arena", arena)
-        return arena
+        return arena_for(self.named_parameters())
 
     # ------------------------------------------------------------------ #
     # modes / grads

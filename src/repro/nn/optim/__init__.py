@@ -1,15 +1,13 @@
-"""Optimizers and LR schedulers.
+"""Adam, global-norm gradient clipping and LR schedulers.
 
-All optimizers run fused single-array updates when handed a
-:class:`~repro.nn.arena.ParameterArena` (or parameters bound to one), and
-the per-parameter loop over a plain parameter list.
+:class:`Adam` is the one optimizer: every model in the paper trains with
+it.  Its step is one fused update over a
+:class:`~repro.nn.arena.ParameterArena`, and :func:`clip_grad_norm`
+clips the arena's flat gradient buffer.
 """
 
-from .adam import Adam, AdamW
-from .optimizer import Optimizer, clip_grad_norm
+from .adam import Adam, clip_grad_norm
 from .schedulers import CosineAnnealingLR, ExponentialLR, StepLR
-from .rmsprop import Adagrad, RMSprop
-from .sgd import SGD
 
-__all__ = ["Optimizer", "SGD", "Adam", "AdamW", "RMSprop", "Adagrad",
-           "clip_grad_norm", "StepLR", "ExponentialLR", "CosineAnnealingLR"]
+__all__ = ["Adam", "clip_grad_norm", "StepLR", "ExponentialLR",
+           "CosineAnnealingLR"]

@@ -1,9 +1,9 @@
-"""Adam / AdamW — the optimizer family used by every model in the paper.
+"""Adam — the optimizer every model in the paper trains with — and
+global-norm gradient clipping, both over a flat parameter arena.
 
-Both optimizers carry two execution paths, picked by their input: the
-fused single-array update over a :class:`~repro.nn.arena.ParameterArena`
-(whenever the model was flattened) and the per-parameter loop over a
-plain parameter list.
+The per-parameter forms of both, which the tests and ``repro bench
+optim`` hold these to, are :func:`repro.nn.reference.adam_step` and
+:func:`repro.nn.reference.clip_grad_norm`.
 """
 
 from __future__ import annotations
@@ -12,92 +12,81 @@ from typing import Sequence
 
 import numpy as np
 
+from ..arena import ParameterArena, arena_for
 from ..module import Parameter
-from .optimizer import Optimizer
 
-__all__ = ["Adam", "AdamW"]
+__all__ = ["Adam", "clip_grad_norm"]
 
 
-class Adam(Optimizer):
+def clip_grad_norm(arena: ParameterArena, max_norm: float) -> float:
+    """Clip gradients in place to a global L2 norm; returns the pre-clip norm.
+
+    All the paper's seq2seq models (DCRNN, ST-MetaNet) rely on clipping for
+    stable training; we apply it uniformly across models.  The norm and
+    the rescale are two vectorized ops on the arena's flat gradient buffer.
+    """
+    total = arena.grad_norm()
+    if total > max_norm and total > 0.0:
+        arena.grad *= max_norm / total
+    return total
+
+
+class Adam:
     """Adam (Kingma & Ba).  ``weight_decay`` here is L2-regularisation
-    folded into the gradient (torch.optim.Adam semantics)."""
+    folded into the gradient (torch.optim.Adam semantics).
 
-    #: AdamW flips this: decay is applied directly to the weights instead
-    #: of being folded into the gradient.
-    _decoupled_decay = False
+    ``parameters`` is a :class:`~repro.nn.arena.ParameterArena` or a
+    sequence of :class:`Parameter`.  A sequence that is exactly the
+    parameters of the arena they are bound to uses that arena; any other
+    sequence is packed into a new arena, which rebinds its parameters
+    (see :func:`repro.nn.arena.arena_for`).  Each :meth:`step` is one
+    fused update over the flat data, gradient and moment buffers.
 
-    def __init__(self, parameters: Sequence[Parameter], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
-        super().__init__(parameters, lr)
+    A parameter whose gradient is ``None`` at a step counts as a zero
+    gradient: its moments decay and it keeps moving on them.
+    """
+
+    def __init__(self, parameters: Sequence[Parameter] | ParameterArena,
+                 lr: float = 1e-3, betas: tuple[float, float] = (0.9, 0.999),
+                 eps: float = 1e-8, weight_decay: float = 0.0):
+        if lr <= 0:
+            raise ValueError(f"learning rate must be positive, got {lr}")
+        if not isinstance(parameters, ParameterArena):
+            parameters = arena_for((f"param{i}", param)
+                                   for i, param in enumerate(parameters))
+        self.arena = parameters
+        self.lr = lr
         self.betas = betas
         self.eps = eps
         self.weight_decay = weight_decay
         self._step_count = 0
-        self._m_flat, self._m = self._state_buffers()
-        self._v_flat, self._v = self._state_buffers()
-        self._decay_scratch: np.ndarray | None = None   # fused L2 temp
+        self._m_flat, self._m = self.arena.state_like()
+        self._v_flat, self._v = self.arena.state_like()
+        self._decay_scratch: np.ndarray | None = None   # L2 temp
+
+    def zero_grad(self) -> None:
+        self.arena.zero_grad()
 
     def step(self) -> None:
         self._step_count += 1
         beta1, beta2 = self.betas
         bias1 = 1.0 - beta1 ** self._step_count
         bias2 = 1.0 - beta2 ** self._step_count
-        if self._fused():
-            self._step_fused(beta1, beta2, bias1, bias2)
-        else:
-            self._step_loop(beta1, beta2, bias1, bias2)
-
-    def _step_fused(self, beta1: float, beta2: float,
-                    bias1: float, bias2: float) -> None:
+        self.arena.sync_grads()
         data, grad = self.arena.data, self.arena.grad
         m, v = self._m_flat, self._v_flat
         if self.weight_decay:
-            if self._decoupled_decay:
-                data -= self.lr * self.weight_decay * data
-            else:
-                # L2 term folded into the gradient.  Built in a persistent
-                # scratch buffer: a fresh arena-sized temp every step costs
-                # more than the math at this size.  Bitwise-identical to
-                # ``grad + weight_decay * data`` (IEEE mul/add commute).
-                if (self._decay_scratch is None
-                        or self._decay_scratch.shape != grad.shape):
-                    self._decay_scratch = np.empty_like(grad)
-                np.multiply(data, self.weight_decay, out=self._decay_scratch)
-                np.add(self._decay_scratch, grad, out=self._decay_scratch)
-                grad = self._decay_scratch
+            # L2 term folded into the gradient.  Built in a persistent
+            # scratch buffer: a fresh arena-sized temp every step costs
+            # more than the math at this size.  Bitwise-identical to
+            # ``grad + weight_decay * data`` (IEEE mul/add commute).
+            if self._decay_scratch is None:
+                self._decay_scratch = np.empty_like(grad)
+            np.multiply(data, self.weight_decay, out=self._decay_scratch)
+            np.add(self._decay_scratch, grad, out=self._decay_scratch)
+            grad = self._decay_scratch
         m *= beta1
         m += (1.0 - beta1) * grad
         v *= beta2
         v += (1.0 - beta2) * grad * grad
         data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-
-    def _step_loop(self, beta1: float, beta2: float,
-                   bias1: float, bias2: float) -> None:
-        for param, m, v in zip(self.parameters, self._m, self._v):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                if self._decoupled_decay:
-                    param.data -= self.lr * self.weight_decay * param.data
-                else:
-                    grad = grad + self.weight_decay * param.data
-            m *= beta1
-            m += (1.0 - beta1) * grad
-            v *= beta2
-            v += (1.0 - beta2) * grad * grad
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class AdamW(Adam):
-    """Adam with decoupled weight decay (Loshchilov & Hutter).
-
-    Decay multiplies the weights directly (``w -= lr * wd * w``) instead of
-    entering the moment estimates — a first-class branch in both update
-    paths rather than the old mutate-``weight_decay``-and-restore hack.
-    """
-
-    _decoupled_decay = True

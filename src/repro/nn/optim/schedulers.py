@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from .optimizer import Optimizer
+from .adam import Adam
 
 __all__ = ["StepLR", "ExponentialLR", "CosineAnnealingLR"]
 
 
 class _Scheduler:
-    def __init__(self, optimizer: Optimizer):
+    def __init__(self, optimizer: Adam):
         self.optimizer = optimizer
         self.base_lr = optimizer.lr
         self.epoch = 0
@@ -24,7 +24,7 @@ class _Scheduler:
 class StepLR(_Scheduler):
     """Multiply LR by ``gamma`` every ``step_size`` epochs (DCRNN-style)."""
 
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1):
+    def __init__(self, optimizer: Adam, step_size: int, gamma: float = 0.1):
         super().__init__(optimizer)
         if step_size <= 0:
             raise ValueError("step_size must be positive")
@@ -36,7 +36,7 @@ class StepLR(_Scheduler):
 
 
 class ExponentialLR(_Scheduler):
-    def __init__(self, optimizer: Optimizer, gamma: float = 0.95):
+    def __init__(self, optimizer: Adam, gamma: float = 0.95):
         super().__init__(optimizer)
         self.gamma = gamma
 
@@ -45,7 +45,7 @@ class ExponentialLR(_Scheduler):
 
 
 class CosineAnnealingLR(_Scheduler):
-    def __init__(self, optimizer: Optimizer, t_max: int, eta_min: float = 0.0):
+    def __init__(self, optimizer: Adam, t_max: int, eta_min: float = 0.0):
         super().__init__(optimizer)
         if t_max <= 0:
             raise ValueError("t_max must be positive")

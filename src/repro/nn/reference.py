@@ -1,14 +1,17 @@
 """The pre-optimisation engine: the oracle the fast kernels are held to.
 
 The equivalence tests compare the production ops against these, and
-``repro bench kernels`` measures its speedups from them.  Production code
+``repro bench kernels`` and ``repro bench optim`` measure their speedups
+from them.  Production code
 never imports this module.  :func:`im2col` gathers with freshly built
 index grids, :func:`col2im` scatters with ``np.add.at``, :func:`conv2d`
 runs both around three ``np.einsum`` contractions, :func:`linear`,
 :func:`support_conv`, :func:`gru_update` and :func:`attention` are the
 unfused tensor-op compositions behind the fused single-node ops of
 :mod:`repro.nn.functional`, and :func:`engine` runs a whole model on the
-reference paths.
+reference paths.  :func:`adam_step` and :func:`clip_grad_norm` are the
+per-parameter loops that :class:`repro.nn.optim.Adam` and
+:func:`repro.nn.optim.clip_grad_norm` fuse over a parameter arena.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from .kernels import _build_col_indices
 from .tensor import Tensor
 
 __all__ = ["im2col", "col2im", "conv2d", "linear", "support_conv",
-           "gru_update", "attention", "engine"]
+           "gru_update", "attention", "engine", "adam_step",
+           "clip_grad_norm"]
 
 
 def im2col(x_data: np.ndarray, kernel: tuple[int, int],
@@ -140,7 +144,7 @@ def engine():
     graph inside the block as well as running its backward there.
     """
     saved = functional.conv2d, functional._slice_views, tensor._is_basic_index
-    saved_fused = {name: getattr(functional, name) for name in _FUSED}
+    saved_ops = {name: getattr(functional, name) for name in _FUSED}
     functional.conv2d = conv2d
     functional._slice_views = _getitem_views
     tensor._is_basic_index = lambda index: False
@@ -151,5 +155,45 @@ def engine():
     finally:
         (functional.conv2d, functional._slice_views,
          tensor._is_basic_index) = saved
-        for name, op in saved_fused.items():
+        for name, op in saved_ops.items():
             setattr(functional, name, op)
+
+
+def adam_step(parameters, m, v, step: int, lr: float,
+              betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
+              weight_decay: float = 0.0) -> None:
+    """One Adam update, one parameter at a time, in place.
+
+    ``m``/``v`` hold one moment array per parameter, updated in place;
+    ``step`` is the 1-based step count behind the bias correction.  Every
+    parameter must carry a gradient.
+    """
+    beta1, beta2 = betas
+    bias1 = 1.0 - beta1 ** step
+    bias2 = 1.0 - beta2 ** step
+    for param, m_p, v_p in zip(parameters, m, v):
+        grad = param.grad
+        if weight_decay:
+            grad = grad + weight_decay * param.data
+        m_p *= beta1
+        m_p += (1.0 - beta1) * grad
+        v_p *= beta2
+        v_p += (1.0 - beta2) * grad * grad
+        m_hat = m_p / bias1
+        v_hat = v_p / bias2
+        param.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def clip_grad_norm(parameters, max_norm: float) -> float:
+    """Global-L2 gradient clipping with one norm term and one rescale per
+    parameter; returns the pre-clip norm.  Parameters without a gradient
+    are skipped."""
+    grads = [p.grad for p in parameters if p.grad is not None]
+    if not grads:
+        return 0.0
+    total = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
+    if total > max_norm and total > 0.0:
+        scale = max_norm / total
+        for g in grads:
+            g *= scale
+    return total

@@ -17,7 +17,7 @@ reduced back to the operand shape with :func:`unbroadcast`.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 

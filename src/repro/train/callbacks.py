@@ -77,9 +77,7 @@ class GradClipCallback(Callback):
             return
         registry = get_registry()
         registry.counter("train/grad_clip_checks").inc()
-        target = (state.optimizer.arena if state.optimizer.arena is not None
-                  else state.optimizer.parameters)
-        norm = clip_grad_norm(target, self.max_norm)
+        norm = clip_grad_norm(state.optimizer.arena, self.max_norm)
         state.grad_norm = norm
         if norm > self.max_norm:
             registry.counter("train/grad_clip_steps").inc()

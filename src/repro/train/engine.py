@@ -8,9 +8,9 @@ scheduling, telemetry, early stopping, checkpointing) is a
 :class:`~repro.train.callbacks.Callback` hooked into well-defined points.
 
 The engine trains on a flat parameter arena
-(:meth:`repro.nn.Module.flatten_parameters`), so the default Adam
-optimizer takes the fused single-array update path and gradient clipping
-is one reduction over the flat gradient buffer.  Console and telemetry
+(:meth:`repro.nn.Module.flatten_parameters`): an Adam step is one fused
+update over it and gradient clipping is one reduction over the flat
+gradient buffer.  Console and telemetry
 output are byte-identical to the legacy ``train_model`` loop — the
 parity is asserted by tests.
 
@@ -81,7 +81,7 @@ class Engine:
         LR schedule, telemetry, early stopping) per fit, which reproduces
         legacy ``train_model`` behaviour exactly.
     optimizer_factory:
-        ``(model, config) -> Optimizer`` override; the default flattens
+        ``(model, config) -> Adam`` override; the default flattens
         the model's parameters into an arena and builds a fused Adam.
     """
 

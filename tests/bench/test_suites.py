@@ -50,7 +50,7 @@ class Smoke:
     meta: dict[str, dict] = field(default_factory=dict)
 
 
-_OPTIM_CASES = ["adam_step", "rmsprop_step", "zero_grad"]
+_OPTIM_CASES = ["adam_step", "clip_grad_norm", "zero_grad"]
 
 SMOKE = {
     "kernels": Smoke(

