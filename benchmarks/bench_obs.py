@@ -2,11 +2,11 @@
 
 Times every case in :mod:`repro.bench.obs` — a full traced-but-
 unobserved ``Engine.fit`` vs. the same fit with spans force-disabled,
-the ``span`` context manager recorded vs. no-op, and metrics-registry
-hot loops — in one process.  In ``full`` mode it asserts the contract
-the span tracing PR claims: tracing an unobserved training step costs
-at most :data:`OVERHEAD_BUDGET_PCT` (2%), and recording real spans into
-a sink stays cheap enough for per-batch use.  ``REPRO_BENCH_MODE=quick``
+and the ``span`` context manager recorded vs. no-op — in one process.
+In ``full`` mode it asserts the span tracing contract: tracing an
+unobserved training step costs at most :data:`OVERHEAD_BUDGET_PCT`
+(2%), and recording real spans into a sink stays cheap enough for
+per-batch use.  ``REPRO_BENCH_MODE=quick``
 runs a smaller workload for a sanity pass without the budget assert
 (sub-200ms fits are noise-dominated).
 

@@ -1,7 +1,7 @@
 """Observability benchmark suite: what does the tracing itself cost?
 
 Instrumentation only earns its keep if it is effectively free when
-nobody listens.  This suite measures that contract from three angles:
+nobody listens.  This suite measures that contract from two angles:
 
 - ``traced_train_step``   a full :class:`repro.train.Engine` fit (STGCN
   on a CI-scale world) with span instrumentation live-but-unobserved
@@ -12,9 +12,6 @@ nobody listens.  This suite measures that contract from three angles:
 - ``span_noop_vs_recorded``  the :func:`repro.obs.span` context manager
   in isolation: recorded spans (a :class:`MemorySink` attached) vs. the
   no-op fast path on a sinkless bus; meta carries ns-per-span both ways.
-- ``metrics_registry``    hot-loop histogram updates through a fresh
-  registry lookup every iteration vs. the documented hoisted-instrument
-  pattern; meta carries ns-per-op both ways.
 
 The CLI front-end is ``python -m repro bench obs`` (``--json`` records
 ``BENCH_obs.json``), and ``repro bench check`` gates the recorded
@@ -27,7 +24,6 @@ import numpy as np
 
 from ..obs.events import EventBus, MemorySink
 from ..obs.spans import disable_spans, span
-from ..obs.stats import registry_scope
 from .harness import Suite, best_of, interleaved_best
 
 __all__ = ["SUITE"]
@@ -38,9 +34,9 @@ __all__ = ["SUITE"]
 #: overhead budget.
 MODES: dict[str, dict] = {
     "quick": dict(repeats=2, epochs=1, max_batches=4, batch_size=8,
-                  spans=2_000, ops=20_000),
+                  spans=2_000),
     "full": dict(repeats=5, epochs=1, max_batches=16, batch_size=16,
-                 spans=20_000, ops=200_000),
+                 spans=20_000),
 }
 
 
@@ -71,9 +67,8 @@ def _case_traced_train_step(sizes: dict, rng: np.random.Generator):
         with disable_spans():
             Engine(config).fit(make_model(), dataset, seed=0, bus=silent)
 
-    with registry_scope():       # keep bench metrics out of the ambient
-        reference, fast = interleaved_best(fit_untraced, fit_traced,
-                                           sizes["repeats"])
+    reference, fast = interleaved_best(fit_untraced, fit_traced,
+                                       sizes["repeats"])
     overhead_pct = (fast / reference - 1.0) * 100.0
     meta = {"overhead_pct": round(overhead_pct, 3),
             "model": "stgcn", "dataset": "pemsd8",
@@ -103,38 +98,14 @@ def _case_span_noop_vs_recorded(sizes: dict,
     return reference, fast, meta
 
 
-def _case_metrics_registry(sizes: dict, rng: np.random.Generator):
-    n = sizes["ops"]
-
-    def fresh_lookup():
-        with registry_scope() as registry:
-            for i in range(n):
-                registry.histogram("bench/latency").observe(i * 1e-6)
-
-    def hoisted():
-        with registry_scope() as registry:
-            hist = registry.histogram("bench/latency")
-            for i in range(n):
-                hist.observe(i * 1e-6)
-
-    reference = best_of(fresh_lookup, sizes["repeats"])
-    fast = best_of(hoisted, sizes["repeats"])
-    meta = {"ops": n,
-            "lookup_ns_per_op": round(reference / n * 1e9, 1),
-            "hoisted_ns_per_op": round(fast / n * 1e9, 1)}
-    return reference, fast, meta
-
-
 SUITE = Suite(
     name="obs",
     modes=MODES,
     cases={
         "traced_train_step": _case_traced_train_step,
         "span_noop_vs_recorded": _case_span_noop_vs_recorded,
-        "metrics_registry": _case_metrics_registry,
     },
     banner=("Observability benchmark suite (mode={mode}) — "
             "untraced vs traced-but-unobserved instrumentation"),
-    help=("time the observability layer itself (span overhead, metrics "
-          "registry)"),
+    help="time the observability layer itself (span overhead)",
 )

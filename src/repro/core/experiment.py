@@ -23,7 +23,6 @@ subscribed to ``epoch_end``.  ``manifest_path=`` additionally writes a
 from __future__ import annotations
 
 import time
-import typing
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -39,9 +38,6 @@ from ..obs.events import (EvalDone, EventBus, RunFinished, RunStarted,
 from ..obs.spans import span
 from .intervals import difficult_mask, prediction_mask
 from .metrics import HorizonMetrics, evaluate_horizons
-
-if typing.TYPE_CHECKING:                                 # pragma: no cover
-    from ..train.engine import Engine
 
 __all__ = ["TrainingConfig", "TrainingHistory", "EvaluationResult",
            "train_model", "predict", "evaluate_model", "run_experiment",
@@ -179,22 +175,17 @@ def run_experiment(model_name: str, dataset: LoadedDataset,
                    config: TrainingConfig | None = None, seed: int = 0,
                    bus: EventBus | None = None,
                    manifest_path: str | None = None,
-                   engine: "Engine | None" = None,
                    **model_hparams) -> RunResult:
     """Train-and-evaluate one cell of the benchmark matrix.
 
-    Training routes through :class:`repro.train.Engine` — pass ``engine=``
-    to supply a pre-configured one (custom callbacks, optimizer factory);
-    its config then governs the run.  Publishes ``run_started`` /
+    Training routes through :class:`repro.train.Engine` with the default
+    callback stack (see :func:`train_model`).  Publishes ``run_started`` /
     ``eval_done`` / ``run_finished`` telemetry (plus the training events)
     to ``bus`` or the ambient bus; when ``manifest_path`` is given, also
     writes a ``run.json`` reproducibility manifest there (config, seed,
     parameter count, wall time, peak RSS).
     """
-    if engine is None:
-        from ..train.engine import Engine
-        engine = Engine(config)
-    config = engine.config
+    config = config or TrainingConfig()
     bus = bus if bus is not None else get_bus()
     start = time.perf_counter()
     with bus_scope(bus), span("experiment/run", bus=bus, model=model_name,
@@ -208,7 +199,7 @@ def run_experiment(model_name: str, dataset: LoadedDataset,
         bus.emit(RunStarted(model=model_name, dataset=dataset.spec.name,
                             seed=seed, num_parameters=model.num_parameters(),
                             config=asdict(config)))
-        history = engine.fit(model, dataset, seed=seed, bus=bus)
+        history = train_model(model, dataset, config, seed=seed, bus=bus)
         with span("experiment/evaluate", bus=bus):
             evaluation = evaluate_model(
                 model, dataset, eval_batch_size=config.eval_batch_size)

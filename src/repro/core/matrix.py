@@ -28,9 +28,9 @@ __all__ = ["BenchmarkMatrix"]
 class BenchmarkMatrix:
     """Lazily trains and caches (model, dataset) cells.
 
-    Every cell trains through one shared :class:`repro.train.Engine`
-    (``self.engine``) built from the matrix's training config, so the
-    whole grid runs under a single consistent training loop.
+    Every cell trains through :func:`run_experiment` with the matrix's
+    one training config, so the whole grid runs under a single consistent
+    training loop.
 
     Parameters
     ----------
@@ -64,8 +64,6 @@ class BenchmarkMatrix:
         self.trace_dir = Path(trace_dir) if trace_dir else None
         if self.trace_dir:
             self.trace_dir.mkdir(parents=True, exist_ok=True)
-        from ..train.engine import Engine
-        self.engine = Engine(self.config)
         self._datasets: dict[str, LoadedDataset] = {}
         self._cells: dict[tuple[str, str], AggregateResult] = {}
         self._runs: dict[tuple[str, str], list[RunResult]] = {}
@@ -102,8 +100,7 @@ class BenchmarkMatrix:
             try:
                 runs.append(run_experiment(model, data, self.config,
                                            seed=seed, bus=bus,
-                                           manifest_path=manifest_path,
-                                           engine=self.engine))
+                                           manifest_path=manifest_path))
             finally:
                 if bus is not None:
                     bus.close()

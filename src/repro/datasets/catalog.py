@@ -9,21 +9,21 @@ Loading a dataset builds the road network, runs the traffic simulator, and
 returns windowed supervised splits plus the Gaussian-kernel adjacency.
 Built worlds are memoised on disk by a content hash of everything that
 determines them (see :mod:`repro.datasets.cache`), so the benchmark
-matrix and sweeps simulate each world once; telemetry
-(``cache_hit`` / ``cache_miss`` / ``dataset_build`` events) records which
-path served every load.
+matrix and sweeps simulate each world once.  Every load is one
+``data/load`` span whose ``cache`` attribute records which path served
+it (``hit`` or ``miss``; absent when the cache is off), with a nested
+``data/build`` span around each fresh build.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..graph.adjacency import gaussian_adjacency
 from ..graph.road_network import RoadNetwork, build_network
-from ..obs.events import CacheHit, CacheMiss, DatasetBuild, EventBus, get_bus
+from ..obs.events import EventBus
 from ..obs.spans import span
 from ..obs.stats import get_registry
 from .cache import DatasetCache, cache_enabled, dataset_cache_key
@@ -159,8 +159,8 @@ def load_dataset(name: str, scale: str = "ci",
         ``REPRO_DATA_CACHE`` environment default (on); ``False`` forces a
         fresh build, ``True`` forces cache use.
     bus:
-        Event bus for cache/build telemetry and ``data/load`` spans
-        (the ambient bus when None).
+        Event bus for the ``data/load`` and ``data/build`` spans (the
+        ambient bus when None).
     """
     spec_key = name.lower().replace("_", "-")
     if spec_key not in DATASETS:
@@ -174,29 +174,22 @@ def load_dataset(name: str, scale: str = "ci",
     window = window or WindowConfig()
 
     use_cache = cache_enabled() if cache is None else bool(cache)
-    bus = bus if bus is not None else get_bus()
-    registry = get_registry()
-    with span("data/load", bus=bus, dataset=spec.name, scale=scale) as sp:
+    cache_key = dataset_cache_key(spec, sim_config, window, seed_offset,
+                                  scale)
+    with span("data/load", bus=bus, dataset=spec.name, scale=scale,
+              key=cache_key) as sp:
         store = DatasetCache() if use_cache else None
-        cache_key = dataset_cache_key(spec, sim_config, window, seed_offset,
-                                      scale)
         if store is not None:
-            start = time.perf_counter()
             cached = store.get(spec.name, scale, cache_key)
             if cached is not None:
-                registry.counter("data/cache_hits").inc()
+                get_registry().counter("data/cache_hits").inc()
                 sp.set(cache="hit")
-                bus.emit(CacheHit(name=spec.name, scale=scale, key=cache_key,
-                                  path=str(store.path_for(spec.name, scale,
-                                                          cache_key)),
-                                  seconds=time.perf_counter() - start))
                 return cached
-            registry.counter("data/cache_misses").inc()
+            get_registry().counter("data/cache_misses").inc()
             sp.set(cache="miss")
-            bus.emit(CacheMiss(name=spec.name, scale=scale, key=cache_key))
 
-        build_start = time.perf_counter()
-        with span("data/build", bus=bus, dataset=spec.name, scale=scale):
+        with span("data/build", bus=bus, dataset=spec.name,
+                  scale=scale) as build:
             network = build_network(num_nodes, topology=spec.topology,
                                     seed=spec.sim_seed + seed_offset)
             simulation = TrafficSimulator(network, sim_config,
@@ -225,11 +218,8 @@ def load_dataset(name: str, scale: str = "ci",
                                     adjacency=adjacency,
                                     simulation=simulation,
                                     supervised=supervised)
+            build.set(num_nodes=dataset.num_nodes,
+                      num_steps=len(simulation.time_of_day))
         if store is not None:
             store.put(dataset, cache_key)
-        bus.emit(DatasetBuild(name=spec.name, scale=scale,
-                              num_nodes=dataset.num_nodes,
-                              num_steps=len(simulation.time_of_day),
-                              seconds=time.perf_counter() - build_start,
-                              cached=store is not None))
     return dataset

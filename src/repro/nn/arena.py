@@ -23,7 +23,8 @@ to the optimizer's flat state buffers (see :mod:`repro.nn.checkpoint`).
 :func:`arena_for` is the one place that decides which arena holds a set
 of parameters: :meth:`repro.nn.Module.flatten_parameters` and
 :class:`repro.nn.optim.Adam` both ask it, so a model and its optimizer
-always share one arena.
+always share one arena, and a parameter never leaves the arena it is
+bound to.
 """
 
 from __future__ import annotations
@@ -172,12 +173,22 @@ def arena_for(named_parameters) -> ParameterArena:
     """The arena holding ``named_parameters`` (``(name, Parameter)`` pairs).
 
     Parameters already bound to one arena that :meth:`~ParameterArena.covers`
-    them (tied parameters counted once) keep it; any other set is packed
-    into a new arena, which rebinds every parameter to it.
+    them (tied parameters counted once) keep it; a set of unbound
+    parameters is packed into a new arena, which rebinds each of them to
+    it.  Raises ``ValueError`` naming the first parameter that is bound to
+    an arena not covering the set: rebinding it would silently detach it
+    from whatever optimizer holds that arena.
     """
     named = list(named_parameters)
     unique = list({id(param): param for _, param in named}.values())
     arena = unique[0]._arena if unique else None
     if arena is not None and arena.covers(unique):
         return arena
+    for name, param in named:
+        if param._arena is not None:
+            raise ValueError(
+                f"parameter {name!r} {tuple(param.shape)} is bound to an "
+                f"arena of {len(param._arena)} parameters that does not "
+                f"cover the {len(unique)} requested; packing it into a new "
+                "arena would detach it from that arena's optimizer")
     return ParameterArena(named)

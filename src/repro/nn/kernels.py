@@ -11,17 +11,12 @@ floor close to the numpy speed-of-light:
   view ``(B, C, kh, kw, out_h, out_w)`` of the input and reshapes it to
   ``(B, C*kh*kw, L)``: one sequential copy, or none at all for a 1×1
   stride-1 kernel on a contiguous input.
-- :func:`col_indices` builds the row/column index grids once per geometry
-  ``(H, W, kernel, stride, dilation)`` and caches them (the grids are
-  read-only so cache hits are safe to share between calls); the many-tap
-  col2im scatters with them.
 - :func:`col2im` scatters column gradients back to the input *without*
   ``np.add.at``: for each of the ``kh*kw`` kernel taps, the output grid
   maps to a strided, overlap-free view of the input, so the scatter is a
   handful of vectorised in-place adds.  The ``(1, k)`` stride-1 temporal
   kernels the TCN models use reduce to ``k`` shifted adds along the time
-  axis.  Kernels with very many taps switch to a single flat
-  ``np.bincount`` scatter instead.
+  axis.
 - :func:`einsum` runs a two-operand contraction as one batched GEMM
   (``transpose -> reshape -> np.matmul -> reshape -> transpose``) from a
   plan cached per ``(subscripts, shape_a, shape_b)``
@@ -41,68 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = [
-    "col_indices", "col_indices_cache_info", "clear_col_indices_cache",
-    "im2col", "col2im",
-    "EinsumPlan", "einsum_plan", "einsum",
-]
-
-# Taps beyond this count make one flat bincount cheaper than per-tap adds.
-_BINCOUNT_TAP_THRESHOLD = 64
-
-
-# --------------------------------------------------------------------- #
-# im2col index grids (cached per geometry)
-# --------------------------------------------------------------------- #
-def _build_col_indices(height: int, width: int, kh: int, kw: int,
-                       stride: tuple[int, int], dilation: tuple[int, int]):
-    sh, sw = stride
-    dh, dw = dilation
-    out_h, out_w = _out_grid(height, width, kh, kw, stride, dilation)
-    i0 = dh * np.repeat(np.arange(kh), kw)
-    j0 = dw * np.tile(np.arange(kw), kh)
-    i1 = sh * np.repeat(np.arange(out_h), out_w)
-    j1 = sw * np.tile(np.arange(out_w), out_h)
-    rows = i0[:, None] + i1[None, :]          # (kh*kw, out_h*out_w)
-    cols = j0[:, None] + j1[None, :]
-    return rows, cols, out_h, out_w
-
-
-@functools.lru_cache(maxsize=256)
-def _cached_col_indices(height: int, width: int, kh: int, kw: int,
-                        stride: tuple[int, int], dilation: tuple[int, int]):
-    rows, cols, out_h, out_w = _build_col_indices(
-        height, width, kh, kw, stride, dilation)
-    # Cache entries are shared between callers; freeze them so an
-    # accidental in-place edit cannot corrupt every later convolution.
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols, out_h, out_w
-
-
-def col_indices(height: int, width: int, kernel: tuple[int, int],
-                stride: tuple[int, int] = (1, 1),
-                dilation: tuple[int, int] = (1, 1)):
-    """im2col gather indices for one convolution geometry.
-
-    Returns ``(rows, cols, out_h, out_w)`` where ``rows``/``cols`` are
-    ``(kh*kw, out_h*out_w)`` index grids.  Results are cached per geometry
-    (and returned read-only).
-    """
-    kh, kw = kernel
-    return _cached_col_indices(int(height), int(width), int(kh), int(kw),
-                               (int(stride[0]), int(stride[1])),
-                               (int(dilation[0]), int(dilation[1])))
-
-
-def col_indices_cache_info():
-    """``functools`` cache statistics for the index-grid cache."""
-    return _cached_col_indices.cache_info()
-
-
-def clear_col_indices_cache() -> None:
-    """Drop all cached index grids (tests and memory-pressure hooks)."""
-    _cached_col_indices.cache_clear()
+__all__ = ["im2col", "col2im", "EinsumPlan", "einsum_plan", "einsum"]
 
 
 # --------------------------------------------------------------------- #
@@ -149,16 +83,13 @@ def col2im(g_cols: np.ndarray, shape: tuple[int, int, int, int],
     has ``shape = (B, C, H, W)``.  For any stride, the ``L`` output
     positions of one kernel tap land on *distinct* input cells, so the
     scatter decomposes into ``kh*kw`` overlap-free strided-slice adds — no
-    ``np.add.at``.  Degenerate many-tap kernels fall back to one flat
-    :func:`np.bincount` scatter.
+    ``np.add.at``.
     """
     batch, channels, height, width = shape
     kh, kw = kernel
     sh, sw = stride
     dh, dw = dilation
     out_h, out_w = _out_grid(height, width, kh, kw, stride, dilation)
-    if kh * kw > _BINCOUNT_TAP_THRESHOLD:
-        return _col2im_bincount(g_cols, shape, kernel, stride, dilation)
     g = g_cols.reshape(batch, channels, kh, kw, out_h, out_w)
     gx = np.zeros(shape, dtype=g_cols.dtype)
     for ki in range(kh):
@@ -168,22 +99,6 @@ def col2im(g_cols: np.ndarray, shape: tuple[int, int, int, int],
             col = dw * kj
             gx[:, :, row_slice, col:col + sw * out_w:sw] += g[:, :, ki, kj]
     return gx
-
-
-def _col2im_bincount(g_cols: np.ndarray, shape: tuple[int, int, int, int],
-                     kernel: tuple[int, int], stride: tuple[int, int],
-                     dilation: tuple[int, int]) -> np.ndarray:
-    """Flat ``np.bincount`` scatter — one pass regardless of tap count."""
-    batch, channels, height, width = shape
-    rows, cols, _, _ = col_indices(height, width, kernel, stride, dilation)
-    plane = height * width
-    spatial = (rows * width + cols).ravel()                 # (K*L,)
-    flat = g_cols.reshape(batch * channels, -1)
-    index = (np.arange(batch * channels)[:, None] * plane
-             + spatial[None, :]).ravel()
-    summed = np.bincount(index, weights=flat.ravel(),
-                         minlength=batch * channels * plane)
-    return summed.reshape(shape).astype(g_cols.dtype, copy=False)
 
 
 # --------------------------------------------------------------------- #

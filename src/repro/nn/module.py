@@ -96,7 +96,9 @@ class Module:
         contiguous buffer pair, enabling the fused optimizer update and
         one-reduction gradient clipping (see :mod:`repro.nn.arena`).
         Idempotent: while the parameters stay bound to one arena that
-        covers the tree exactly, that arena is returned.
+        covers the tree exactly, that arena is returned.  Raises
+        ``ValueError`` when some parameter is bound to an arena that does
+        not cover the tree (a submodule of an already flattened model).
         """
         from .arena import arena_for
 

@@ -37,9 +37,10 @@ class Adam:
 
     ``parameters`` is a :class:`~repro.nn.arena.ParameterArena` or a
     sequence of :class:`Parameter`.  A sequence that is exactly the
-    parameters of the arena they are bound to uses that arena; any other
-    sequence is packed into a new arena, which rebinds its parameters
-    (see :func:`repro.nn.arena.arena_for`).  Each :meth:`step` is one
+    parameters of the arena they are bound to uses that arena; a sequence
+    of unbound parameters is packed into a new arena, which rebinds them;
+    any other sequence raises ``ValueError`` (see
+    :func:`repro.nn.arena.arena_for`).  Each :meth:`step` is one
     fused update over the flat data, gradient and moment buffers.
 
     A parameter whose gradient is ``None`` at a step counts as a zero

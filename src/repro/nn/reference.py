@@ -21,12 +21,28 @@ import contextlib
 import numpy as np
 
 from . import functional, tensor
-from .kernels import _build_col_indices
 from .tensor import Tensor
 
 __all__ = ["im2col", "col2im", "conv2d", "linear", "support_conv",
            "gru_update", "attention", "engine", "adam_step",
            "clip_grad_norm"]
+
+
+def _build_col_indices(height: int, width: int, kh: int, kw: int,
+                       stride: tuple[int, int], dilation: tuple[int, int]):
+    """im2col index grids: ``(rows, cols, out_h, out_w)`` where
+    ``rows``/``cols`` are ``(kh*kw, out_h*out_w)``."""
+    sh, sw = stride
+    dh, dw = dilation
+    out_h = (height - dh * (kh - 1) - 1) // sh + 1
+    out_w = (width - dw * (kw - 1) - 1) // sw + 1
+    i0 = dh * np.repeat(np.arange(kh), kw)
+    j0 = dw * np.tile(np.arange(kw), kh)
+    i1 = sh * np.repeat(np.arange(out_h), out_w)
+    j1 = sw * np.tile(np.arange(out_w), out_h)
+    rows = i0[:, None] + i1[None, :]
+    cols = j0[:, None] + j1[None, :]
+    return rows, cols, out_h, out_w
 
 
 def im2col(x_data: np.ndarray, kernel: tuple[int, int],

@@ -9,17 +9,7 @@ from __future__ import annotations
 
 from .module import Module
 
-__all__ = ["summarize", "parameter_breakdown"]
-
-
-def parameter_breakdown(model: Module) -> dict[str, int]:
-    """Parameters *owned directly* by each module path (children excluded)."""
-    breakdown: dict[str, int] = {}
-    for path, module in model.named_modules():
-        own = sum(p.size for p in module._parameters.values())
-        if own:
-            breakdown[path or "<root>"] = own
-    return breakdown
+__all__ = ["summarize"]
 
 
 def summarize(model: Module, max_depth: int | None = None) -> str:

@@ -13,8 +13,8 @@ The observability layer for the whole stack (see ``docs/observability.md``):
   ``repro trace summarize``-style reports.
 - :mod:`repro.obs.spans` — nested, thread-correct span tracing
   (:func:`span`, :class:`SpanTree`, :func:`span_report`) over the bus.
-- :mod:`repro.obs.stats` — the :class:`MetricsRegistry` of counters,
-  gauges, and latency histograms the stack updates while it runs.
+- :mod:`repro.obs.stats` — the :class:`MetricsRegistry` of named
+  counters (the dataset cache's hit and miss counts).
 - :mod:`repro.obs.export` — Chrome-tracing/Perfetto timeline export.
 
 The bench suites that emit :class:`BenchResult` (the tracing-overhead
@@ -30,35 +30,30 @@ Quickstart::
     bus.close()
 """
 
-from .events import (EVENT_KINDS, BatchEnd, BenchResult, CacheHit, CacheMiss,
-                     CheckpointSaved, ConsoleSink, DatasetBuild, EpochEnd,
-                     EvalDone, Event, EventBus, GradClip, JSONLSink,
-                     MemorySink, MetricsSnapshot, RunFinished, RunStarted,
+from .events import (EVENT_KINDS, BatchEnd, BenchResult, CheckpointSaved,
+                     ConsoleSink, EpochEnd, EvalDone, Event, EventBus,
+                     GradClip, JSONLSink, MemorySink, RunFinished, RunStarted,
                      SpanEvent, bus_scope, event_from_record,
                      event_to_record, get_bus)
 from .export import chrome_trace, write_chrome_trace
 from .manifest import (RunManifest, build_manifest, normalize_ru_maxrss,
-                       peak_rss_kb, read_manifest, write_manifest)
-from .spans import (Span, SpanNode, SpanTree, current_span, disable_spans,
-                    span, span_report, spans_enabled)
-from .stats import (Gauge, Histogram, MetricsRegistry, StatCounter,
-                    get_registry, registry_scope)
+                       peak_rss_kb, write_manifest)
+from .spans import Span, SpanNode, SpanTree, disable_spans, span, span_report
+from .stats import MetricsRegistry, StatCounter, get_registry, registry_scope
 from .trace import read_trace, summarize_trace, validate_record, validate_trace
 
 __all__ = [
     "Event", "RunStarted", "BatchEnd", "EpochEnd", "EvalDone",
     "CheckpointSaved", "RunFinished", "GradClip", "BenchResult",
-    "CacheHit", "CacheMiss", "DatasetBuild", "SpanEvent", "MetricsSnapshot",
-    "EVENT_KINDS",
+    "SpanEvent", "EVENT_KINDS",
     "event_to_record", "event_from_record",
     "EventBus", "ConsoleSink", "JSONLSink", "MemorySink",
     "get_bus", "bus_scope",
-    "RunManifest", "build_manifest", "write_manifest", "read_manifest",
+    "RunManifest", "build_manifest", "write_manifest",
     "peak_rss_kb", "normalize_ru_maxrss",
     "read_trace", "validate_record", "validate_trace", "summarize_trace",
-    "Span", "span", "current_span", "spans_enabled", "disable_spans",
+    "Span", "span", "disable_spans",
     "SpanNode", "SpanTree", "span_report",
-    "StatCounter", "Gauge", "Histogram", "MetricsRegistry",
-    "get_registry", "registry_scope",
+    "StatCounter", "MetricsRegistry", "get_registry", "registry_scope",
     "chrome_trace", "write_chrome_trace",
 ]

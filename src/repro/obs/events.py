@@ -34,9 +34,7 @@ from typing import Any, Callable, ClassVar, Iterable, TextIO
 __all__ = [
     "Event", "RunStarted", "BatchEnd", "EpochEnd", "EvalDone",
     "CheckpointSaved", "RunFinished", "GradClip", "BenchResult",
-    "CacheHit", "CacheMiss", "DatasetBuild", "SpanEvent", "MetricsSnapshot",
-    "EVENT_KINDS", "LEGACY_BENCH_KINDS", "event_to_record",
-    "event_from_record", "upgrade_record",
+    "SpanEvent", "EVENT_KINDS", "event_to_record", "event_from_record",
     "EventBus", "ConsoleSink", "JSONLSink", "MemorySink",
     "get_bus", "bus_scope",
 ]
@@ -162,41 +160,6 @@ class BenchResult(Event):
 
 
 @dataclass
-class CacheHit(Event):
-    """A ``load_dataset`` call was served from the dataset cache."""
-
-    kind: ClassVar[str] = "cache_hit"
-    name: str = ""
-    scale: str = ""
-    key: str = ""
-    path: str = ""
-    seconds: float = 0.0
-
-
-@dataclass
-class CacheMiss(Event):
-    """A ``load_dataset`` call found no cache entry and must build."""
-
-    kind: ClassVar[str] = "cache_miss"
-    name: str = ""
-    scale: str = ""
-    key: str = ""
-
-
-@dataclass
-class DatasetBuild(Event):
-    """A dataset world was built from scratch (simulator + windows)."""
-
-    kind: ClassVar[str] = "dataset_build"
-    name: str = ""
-    scale: str = ""
-    num_nodes: int = 0
-    num_steps: int = 0
-    seconds: float = 0.0
-    cached: bool = False       # True when the build was written to the cache
-
-
-@dataclass
 class SpanEvent(Event):
     """One completed span from :func:`repro.obs.spans.span`.
 
@@ -221,33 +184,10 @@ class SpanEvent(Event):
     attrs: dict = field(default_factory=dict)
 
 
-@dataclass
-class MetricsSnapshot(Event):
-    """A point-in-time dump of a :class:`repro.obs.stats.MetricsRegistry`.
-
-    ``counters``/``gauges`` map metric name to value; ``histograms`` maps
-    name to ``{"buckets": [...], "counts": [...], "count": n, "sum": s}``.
-    """
-
-    kind: ClassVar[str] = "metrics"
-    label: str = ""
-    counters: dict = field(default_factory=dict)
-    gauges: dict = field(default_factory=dict)
-    histograms: dict = field(default_factory=dict)
-
-
 EVENT_KINDS: dict[str, type[Event]] = {
     cls.kind: cls
     for cls in (RunStarted, BatchEnd, EpochEnd, EvalDone, CheckpointSaved,
-                RunFinished, GradClip, BenchResult, CacheHit, CacheMiss,
-                DatasetBuild, SpanEvent, MetricsSnapshot)
-}
-
-#: Per-suite kinds that bench traces used before :class:`BenchResult`;
-#: they still parse, as a ``bench_result`` of the mapped suite.
-LEGACY_BENCH_KINDS: dict[str, str] = {
-    "kernel_bench": "kernels", "optim_bench": "optim",
-    "data_bench": "data", "obs_bench": "obs",
+                RunFinished, GradClip, BenchResult, SpanEvent)
 }
 
 
@@ -258,19 +198,8 @@ def event_to_record(event: Event) -> dict[str, Any]:
     return record
 
 
-def upgrade_record(record: dict[str, Any]) -> dict[str, Any]:
-    """Rewrite a legacy bench record (:data:`LEGACY_BENCH_KINDS`) as the
-    ``bench_result`` record it stands for; other records pass through."""
-    suite = LEGACY_BENCH_KINDS.get(record.get("event"))
-    if suite is None:
-        return record
-    return {**record, "event": BenchResult.kind, "suite": suite}
-
-
 def event_from_record(record: dict[str, Any]) -> Event:
-    """Reconstruct the typed event serialised by :func:`event_to_record`
-    (legacy bench kinds included, see :func:`upgrade_record`)."""
-    record = upgrade_record(record)
+    """Reconstruct the typed event serialised by :func:`event_to_record`."""
     kind = record.get("event")
     cls = EVENT_KINDS.get(kind)
     if cls is None:
@@ -323,27 +252,11 @@ class ConsoleSink:
             mark = "" if event.status == "ok" else f" ERROR {event.error}"
             return (f"{'  ' * event.depth}[span] {event.label} "
                     f"({event.seconds * 1e3:.2f}ms){mark}")
-        if isinstance(event, MetricsSnapshot):
-            return (f"[metrics] {event.label or 'snapshot'}: "
-                    f"{len(event.counters)} counters, "
-                    f"{len(event.gauges)} gauges, "
-                    f"{len(event.histograms)} histograms")
         if isinstance(event, BenchResult):
             return (f"[bench] {event.name}: reference "
                     f"{event.reference_seconds * 1e3:.2f}ms -> "
                     f"{event.fast_seconds * 1e3:.2f}ms "
                     f"({event.speedup:.2f}x)")
-        if isinstance(event, CacheHit):
-            return (f"[cache] hit {event.name} (scale={event.scale}) "
-                    f"key={event.key} ({event.seconds:.2f}s)")
-        if isinstance(event, CacheMiss):
-            return (f"[cache] miss {event.name} (scale={event.scale}) "
-                    f"key={event.key}")
-        if isinstance(event, DatasetBuild):
-            return (f"[build] {event.name} (scale={event.scale}) "
-                    f"{event.num_nodes} nodes x {event.num_steps} steps "
-                    f"({event.seconds:.2f}s)"
-                    + (" -> cached" if event.cached else ""))
         if isinstance(event, GradClip):
             return (f"    clip epoch {event.epoch} batch {event.batch} "
                     f"norm={event.norm:.3f} -> {event.max_norm:.3f}")

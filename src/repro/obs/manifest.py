@@ -20,14 +20,9 @@ from typing import Any
 import numpy as np
 
 __all__ = ["MANIFEST_SCHEMA_VERSION", "RunManifest", "build_manifest",
-           "write_manifest", "read_manifest", "peak_rss_kb",
-           "normalize_ru_maxrss"]
+           "write_manifest", "peak_rss_kb", "normalize_ru_maxrss"]
 
 MANIFEST_SCHEMA_VERSION = 1
-
-# Fields a manifest must always carry (checked by tests and readers).
-REQUIRED_FIELDS = ("schema_version", "model", "dataset", "seed", "config",
-                   "num_parameters", "wall_seconds", "repro_version")
 
 
 def normalize_ru_maxrss(raw: float, system: str | None = None) -> int:
@@ -77,16 +72,6 @@ class RunManifest:
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "RunManifest":
-        """Inverse of :meth:`to_dict`; unknown keys land in ``extra``."""
-        known = {f for f in cls.__dataclass_fields__}
-        kwargs = {k: v for k, v in payload.items() if k in known}
-        unknown = {k: v for k, v in payload.items() if k not in known}
-        if unknown:
-            kwargs.setdefault("extra", {}).update(unknown)
-        return cls(**kwargs)
-
 
 def build_manifest(model: str, dataset: str, seed: int, config: Any,
                    num_parameters: int, wall_seconds: float,
@@ -122,13 +107,3 @@ def write_manifest(path: str | Path, manifest: RunManifest) -> Path:
     path.write_text(json.dumps(manifest.to_dict(), indent=2, sort_keys=True)
                     + "\n", encoding="utf-8")
     return path
-
-
-def read_manifest(path: str | Path) -> RunManifest:
-    """Load a manifest written by :func:`write_manifest`."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    missing = [key for key in REQUIRED_FIELDS if key not in payload]
-    if missing:
-        raise ValueError(f"manifest {path} is missing required fields: "
-                         f"{missing}")
-    return RunManifest.from_dict(payload)

@@ -39,7 +39,7 @@ from typing import Any, Iterable, Iterator
 from .events import Event, EventBus, SpanEvent, get_bus
 
 __all__ = [
-    "Span", "span", "current_span", "spans_enabled", "disable_spans",
+    "Span", "span", "disable_spans",
     "SpanNode", "SpanTree", "span_report",
 ]
 
@@ -151,19 +151,6 @@ class span:
             error=error, depth=sp.depth, thread=threading.get_ident(),
             attrs=sp.attrs))
         return False                          # never swallow exceptions
-
-
-def current_span() -> Span | None:
-    """The innermost open (recorded) span in this context, or ``None``."""
-    return _CURRENT.get()
-
-
-def spans_enabled(bus: EventBus | None = None) -> bool:
-    """Would :func:`span` record right now on ``bus`` (ambient default)?"""
-    if _DISABLED:
-        return False
-    bus = bus if bus is not None else get_bus()
-    return bus.has_sinks
 
 
 @contextlib.contextmanager

@@ -14,7 +14,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .events import (EVENT_KINDS, EpochEnd, EvalDone, Event, RunFinished,
-                     RunStarted, event_from_record, upgrade_record)
+                     RunStarted, event_from_record)
 
 __all__ = ["read_trace", "validate_record", "validate_trace",
            "summarize_trace"]
@@ -41,7 +41,6 @@ def read_trace(path: str | Path, *, strict: bool = False,
         except json.JSONDecodeError as error:
             raise ValueError(f"{path}:{line_no}: not valid JSON "
                              f"({error})") from error
-        record = upgrade_record(record)
         if record.get("event") not in EVENT_KINDS:
             if strict:
                 raise ValueError(
@@ -58,7 +57,6 @@ def read_trace(path: str | Path, *, strict: bool = False,
 
 def validate_record(record: dict) -> list[str]:
     """Schema-check one trace record; returns problems ([] = valid)."""
-    record = upgrade_record(record)
     problems = []
     kind = record.get("event")
     cls = EVENT_KINDS.get(kind)

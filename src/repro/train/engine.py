@@ -35,7 +35,6 @@ from ..nn.optim import Adam
 from ..nn.tensor import Tensor
 from ..obs.events import ConsoleSink, EventBus, bus_scope, get_bus
 from ..obs.spans import span
-from ..obs.stats import get_registry
 from .callbacks import Callback, default_callbacks
 
 __all__ = ["Engine", "EngineState"]
@@ -61,12 +60,6 @@ class EngineState:
     stop: bool = False              # callbacks set this to end the fit
 
 
-def _default_optimizer(model, config: TrainingConfig):
-    """Adam over the model's flat parameter arena (fused update path)."""
-    return Adam(model.flatten_parameters(), lr=config.learning_rate,
-                weight_decay=config.weight_decay)
-
-
 class Engine:
     """Callback-driven training loop over a model + dataset.
 
@@ -80,17 +73,15 @@ class Engine:
         :func:`~repro.train.callbacks.default_callbacks` (clipping,
         LR schedule, telemetry, early stopping) per fit, which reproduces
         legacy ``train_model`` behaviour exactly.
-    optimizer_factory:
-        ``(model, config) -> Adam`` override; the default flattens
-        the model's parameters into an arena and builds a fused Adam.
+
+    Each fit trains with :class:`~repro.nn.optim.Adam` over the model's
+    flat parameter arena; callbacks reach it as ``state.optimizer``.
     """
 
     def __init__(self, config: TrainingConfig | None = None,
-                 callbacks: list[Callback] | None = None,
-                 optimizer_factory=None):
+                 callbacks: list[Callback] | None = None):
         self.config = config or TrainingConfig()
         self.callbacks = callbacks
-        self.optimizer_factory = optimizer_factory or _default_optimizer
 
     # ------------------------------------------------------------------ #
     def fit(self, model, dataset, seed: int = 0,
@@ -113,7 +104,9 @@ class Engine:
         if not self._trainable(model, dataset):
             return history                  # constant training_loss
 
-        optimizer = self.optimizer_factory(model, config)
+        optimizer = Adam(model.flatten_parameters(),
+                         lr=config.learning_rate,
+                         weight_decay=config.weight_decay)
         callbacks = (list(self.callbacks) if self.callbacks is not None
                      else default_callbacks(config))
         state = EngineState(model=model, dataset=dataset, config=config,
@@ -136,10 +129,6 @@ class Engine:
                             batch_size=config.batch_size,
                             shuffle=True, seed=seed,
                             target_scaler=dataset.supervised.scaler)
-
-        registry = get_registry()
-        batch_hist = registry.histogram("train/batch_seconds")
-        batch_counter = registry.counter("train/batches")
 
         with contextlib.ExitStack() as stack:
             # Nested instrumentation (loader gathers, kernel spans,
@@ -165,7 +154,6 @@ class Engine:
                                 >= config.max_batches_per_epoch):
                             break
                         state.batch = batch_index
-                        batch_start = time.perf_counter()
                         with span("train/batch", bus=bus,
                                   batch=batch_index + 1, size=len(x)):
                             with span("train/forward", bus=bus):
@@ -181,8 +169,6 @@ class Engine:
                                            state)
                             with span("train/optim", bus=bus):
                                 optimizer.step()
-                        batch_hist.observe(time.perf_counter() - batch_start)
-                        batch_counter.inc()
                         state.batch_loss = loss.item()
                         epoch_losses.append(state.batch_loss)
                         self._dispatch(callbacks, "on_batch_end", state)

@@ -73,17 +73,14 @@ SMOKE = {
               "resident_memory": {"eager_peak_bytes": POSITIVE,
                                   "lazy_peak_bytes": POSITIVE}}),
     "obs": Smoke(
-        cases=["traced_train_step", "span_noop_vs_recorded",
-               "metrics_registry"],
+        cases=["traced_train_step", "span_noop_vs_recorded"],
         banner="Observability benchmark suite",
         meta={"traced_train_step": {"model": "stgcn",
                                     "overhead_pct": NUMBER},
               "span_noop_vs_recorded": {
                   "spans": SUITES["obs"].modes["quick"]["spans"],
                   "noop_ns_per_span": POSITIVE,
-                  "recorded_ns_per_span": POSITIVE},
-              "metrics_registry": {
-                  "ops": SUITES["obs"].modes["quick"]["ops"]}}),
+                  "recorded_ns_per_span": POSITIVE}}),
 }
 
 

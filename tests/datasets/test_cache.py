@@ -23,8 +23,21 @@ def cache_dir(tmp_path, monkeypatch):
     return directory
 
 
-def kinds(sink):
-    return [event.kind for event in sink.events if event.kind != "span"]
+def loads(sink):
+    """The ``data/build`` and ``data/load`` spans in close order: ``build``
+    for a fresh build, then the load's ``cache`` outcome (``hit`` or
+    ``miss``; ``off`` when the cache was not consulted)."""
+    outcomes = []
+    for event in sink.of_kind("span"):
+        if event.label == "data/build":
+            outcomes.append("build")
+        elif event.label == "data/load":
+            outcomes.append(event.attrs.get("cache", "off"))
+    return outcomes
+
+
+def load_spans(sink):
+    return [e for e in sink.of_kind("span") if e.label == "data/load"]
 
 
 class TestKey:
@@ -75,7 +88,7 @@ class TestEnabledSwitch:
         sink = MemorySink()
         with bus_scope(EventBus([sink])):
             load_dataset("metr-la", scale="ci")
-        assert kinds(sink) == ["dataset_build"]
+        assert loads(sink) == ["build", "off"]
         assert not list(cache_dir.glob("*.npz"))
 
     def test_dir_override(self, cache_dir):
@@ -88,10 +101,14 @@ class TestLoadDatasetCaching:
         with bus_scope(EventBus([sink])):
             first = load_dataset("metr-la", scale="ci")
             second = load_dataset("metr-la", scale="ci")
-        assert kinds(sink) == ["cache_miss", "dataset_build", "cache_hit"]
-        miss, build, hit = [e for e in sink.events if e.kind != "span"]
-        assert miss.key == hit.key
-        assert build.cached
+        assert loads(sink) == ["build", "miss", "hit"]
+        miss, hit = load_spans(sink)
+        assert miss.attrs["key"] == hit.attrs["key"]
+        (build,) = [e for e in sink.of_kind("span")
+                    if e.label == "data/build"]
+        assert build.parent_id == miss.span_id
+        assert build.attrs["num_nodes"] == first.num_nodes
+        assert build.attrs["num_steps"] == len(first.simulation.time_of_day)
         np.testing.assert_array_equal(first.supervised.series,
                                       second.supervised.series)
         np.testing.assert_array_equal(first.adjacency, second.adjacency)
@@ -114,9 +131,7 @@ class TestLoadDatasetCaching:
         with bus_scope(EventBus([sink])):
             load_dataset("metr-la", scale="ci", cache=False)
             load_dataset("metr-la", scale="ci", cache=False)
-        assert kinds(sink) == ["dataset_build", "dataset_build"]
-        assert not any(event.cached
-                       for event in sink.of_kind("dataset_build"))
+        assert loads(sink) == ["build", "off", "build", "off"]
 
     def test_distinct_worlds_distinct_entries(self, cache_dir):
         load_dataset("metr-la", scale="ci")
@@ -142,7 +157,7 @@ class TestLoadDatasetCaching:
         entry.path.write_bytes(b"not an npz archive")
         with bus_scope(EventBus([sink])):
             rebuilt = load_dataset("metr-la", scale="ci")
-        assert kinds(sink) == ["cache_miss", "dataset_build", ]
+        assert loads(sink) == ["build", "miss"]
         assert rebuilt.num_nodes > 0
         (entry,) = DatasetCache().entries()      # re-written entry
         assert entry.path.stat().st_size > 100
@@ -250,7 +265,7 @@ class TestFaultInjection:
         with bus_scope(EventBus([sink])):
             rebuilt = load_dataset("metr-la", scale="ci")
             again = load_dataset("metr-la", scale="ci")
-        assert kinds(sink) == ["cache_miss", "dataset_build", "cache_hit"]
+        assert loads(sink) == ["build", "miss", "hit"]
         for world in (rebuilt, again):
             np.testing.assert_array_equal(world.supervised.series,
                                           fresh.supervised.series)
@@ -267,7 +282,7 @@ class TestFaultInjection:
         sink = MemorySink()
         with bus_scope(EventBus([sink])):
             load_dataset("metr-la", scale="ci")
-        assert kinds(sink) == ["cache_miss", "dataset_build"]
+        assert loads(sink) == ["build", "miss"]
         new = next(e for e in DatasetCache().entries() if e.key != old.key)
         # An old-version archive found under the new key (copied caches,
         # a key collision) is a miss, never served as the new world.
@@ -275,7 +290,7 @@ class TestFaultInjection:
         assert DatasetCache().get(new.name, new.scale, new.key) is None
         with bus_scope(EventBus([sink])):
             load_dataset("metr-la", scale="ci")
-        assert kinds(sink)[2:] == ["cache_miss", "dataset_build"]
+        assert loads(sink)[2:] == ["build", "miss"]
 
     def test_racing_writers_leave_one_valid_entry(self, cache_dir):
         import sys
@@ -354,7 +369,7 @@ class TestStoredEntries:
         sink = MemorySink()
         with bus_scope(EventBus([sink])):
             rebuilt = load_dataset("metr-la", scale="ci")
-        assert kinds(sink) == ["cache_miss", "dataset_build"]
+        assert loads(sink) == ["build", "miss"]
         np.testing.assert_array_equal(rebuilt.simulation.speed,
                                       fresh.simulation.speed)
         np.testing.assert_array_equal(rebuilt.supervised.series,
@@ -376,7 +391,7 @@ class TestStoredEntries:
         sink = MemorySink()
         with bus_scope(EventBus([sink])):
             cached = load_dataset("metr-la", scale="ci")
-        assert kinds(sink) == ["cache_hit"]
+        assert loads(sink) == ["hit"]
         for field in ("density", "speed", "flow", "missing_mask"):
             np.testing.assert_array_equal(getattr(cached.simulation, field),
                                           getattr(fresh.simulation, field))

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.nn import Linear, Module, Parameter, Tensor
+from repro.nn import Linear, Module, ModuleList, Parameter, Tensor
 from repro.nn.arena import ParameterArena, ParamSpec
+from repro.nn.optim import Adam
 
 
 class Net(Module):
@@ -106,6 +107,35 @@ class TestFlattenParameters:
         assert arena.covers(model.parameters())
         assert not arena.covers(model.parameters()[:-1])
         assert not arena.covers(Net().parameters())
+
+
+class TestNoSteal:
+    """A parameter bound to one arena is never packed into another: that
+    would detach it from the optimizer holding the first arena."""
+
+    def test_optimizer_over_a_bound_subset_raises(self):
+        model = Linear(3, 2, rng=np.random.default_rng(0))
+        first = Adam(model.parameters(), lr=0.1)
+        with pytest.raises(ValueError, match="'param0'"):
+            Adam([model.weight])
+        assert model.weight._arena is first.arena
+        before = model.weight.data.copy()
+        model.weight.grad = np.ones_like(before)
+        first.step()
+        assert np.all(model.weight.data < before)
+
+    def test_flattening_a_submodule_of_a_flat_model_raises(self):
+        gen = np.random.default_rng(0)
+        model = ModuleList([Linear(3, 2, rng=gen), Linear(2, 2, rng=gen)])
+        arena = model.flatten_parameters()
+        with pytest.raises(ValueError, match="'weight'"):
+            model[0].flatten_parameters()
+        assert model.flatten_parameters() is arena
+        optimizer = Adam(arena, lr=0.1)
+        before = model[0].weight.data.copy()
+        model[0].weight.grad = np.ones_like(before)
+        optimizer.step()
+        assert np.all(model[0].weight.data < before)
 
 
 class TestGradOps:

@@ -250,24 +250,20 @@ def conv_geometries(draw):
     return shape, kernel, stride, dilation, padding
 
 
-@pytest.mark.parametrize("path", ["strided", "bincount"])
 @given(geometry=conv_geometries(), seed=st.integers(0, 2 ** 31 - 1))
 @settings(max_examples=60, deadline=None)
-def test_col2im_is_the_adjoint_of_im2col(path, geometry, seed):
-    """<im2col(pad(x)), c> == <x, unpad(col2im(c))> for either scatter."""
+def test_col2im_is_the_adjoint_of_im2col(geometry, seed):
+    """<im2col(pad(x)), c> == <x, unpad(col2im(c))> for strided,
+    dilated and padded geometries."""
     shape, kernel, stride, dilation, (ph, pw) = geometry
     rng = np.random.default_rng(seed)
     x = rng.normal(size=shape)
     padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     cols, _, _ = K.im2col(padded, kernel, stride, dilation)
     c = rng.normal(size=cols.shape)
-    # A threshold of 0 sends every kernel to the flat bincount scatter.
-    threshold = {"strided": K._BINCOUNT_TAP_THRESHOLD, "bincount": 0}[path]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(K, "_BINCOUNT_TAP_THRESHOLD", threshold)
-        scattered = K.col2im(c.reshape(shape[0], shape[1],
-                                       kernel[0] * kernel[1], -1),
-                             padded.shape, kernel, stride, dilation)
+    scattered = K.col2im(c.reshape(shape[0], shape[1],
+                                   kernel[0] * kernel[1], -1),
+                         padded.shape, kernel, stride, dilation)
     height, width = shape[2:]
     lhs = np.vdot(cols, c)
     rhs = np.vdot(x, scattered[:, :, ph:ph + height, pw:pw + width])

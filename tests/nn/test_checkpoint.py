@@ -80,7 +80,7 @@ class TestRoundTripAllOptimizers:
         optimizer = Adam(model.parameters(), lr=0.01)
         train_steps(model, optimizer, *batch, steps=1)
         state = optimizer_state(optimizer)
-        smaller = Adam([model.parameters()[0]], lr=0.01)
+        smaller = Adam([Net().parameters()[0]], lr=0.01)
         with pytest.raises(ValueError, match="parameters"):
             load_optimizer_state(smaller, state)
 

@@ -80,31 +80,12 @@ class TestCol2imEquivalence:
         ((2, 3, 12, 12), (3, 3), (1, 1), (2, 2)),     # dilated
     ], ids=["temporal", "ties", "strided", "dilated"])
     def test_matches_reference(self, rng, shape, kernel, stride, dilation):
-        rows, cols, out_h, out_w = K.col_indices(shape[2], shape[3], kernel,
-                                                 stride, dilation)
+        _, out_h, out_w = K.im2col(np.zeros(shape), kernel, stride, dilation)
         g_cols = rng.normal(size=(shape[0], shape[1], kernel[0] * kernel[1],
                                   out_h * out_w))
         fast = K.col2im(g_cols, shape, kernel, stride, dilation)
         ref = reference.col2im(g_cols, shape, kernel, stride, dilation)
         assert np.abs(fast - ref).max() <= TOL
-
-    def test_bincount_path_matches_reference(self, rng, monkeypatch):
-        """Kernels with more taps than the threshold take the flat
-        bincount scatter; force it and compare."""
-        monkeypatch.setattr(K, "_BINCOUNT_TAP_THRESHOLD", 3)
-        shape, kernel = (2, 2, 8, 8), (3, 3)
-        rows, cols, out_h, out_w = K.col_indices(8, 8, kernel, (1, 1), (1, 1))
-        g_cols = rng.normal(size=(2, 2, 9, out_h * out_w))
-        fast = K.col2im(g_cols, shape, kernel)
-        ref = reference.col2im(g_cols, shape, kernel)
-        assert np.abs(fast - ref).max() <= TOL
-
-    def test_index_cache_hits(self):
-        K.clear_col_indices_cache()
-        K.col_indices(9, 11, (3, 3), (1, 1), (1, 1))
-        K.col_indices(9, 11, (3, 3), (1, 1), (1, 1))
-        info = K.col_indices_cache_info()
-        assert info.hits >= 1 and info.misses == 1
 
 
 class TestGetitemEquivalence:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import LSTMCell, Tensor
-from repro.nn.summary import parameter_breakdown, summarize
+from repro.nn.summary import summarize
 
 
 @pytest.fixture
@@ -42,12 +42,24 @@ class TestLSTMCell:
         assert not np.allclose(c1.data, c2.data)
 
 
+def own_params_by_path(text):
+    """``{module path: own params}`` read back from a :func:`summarize`
+    table, whose labels are indented two spaces per depth."""
+    stack, own = [], {}
+    for line in text.splitlines()[1:-1]:
+        label, count, _ = line.rsplit(None, 2)
+        depth = (len(label) - len(label.lstrip(" "))) // 2
+        stack[depth:] = [label.strip()]
+        own[".".join(stack[1:])] = int(count.replace(",", ""))
+    return own
+
+
 class TestSummary:
     def test_breakdown_sums_to_total(self, ci_dataset):
         from repro.models import create_model
         model = create_model("gman", ci_dataset.num_nodes,
                              ci_dataset.adjacency, seed=0)
-        breakdown = parameter_breakdown(model)
+        breakdown = own_params_by_path(summarize(model))
         assert sum(breakdown.values()) == model.num_parameters()
 
     def test_stsgcn_heads_dominate(self, ci_dataset):
@@ -56,7 +68,7 @@ class TestSummary:
         from repro.models import create_model
         model = create_model("stsgcn", ci_dataset.num_nodes,
                              ci_dataset.adjacency, seed=0)
-        breakdown = parameter_breakdown(model)
+        breakdown = own_params_by_path(summarize(model))
         heads_total = sum(count for path, count in breakdown.items()
                           if path.startswith("heads"))
         assert heads_total > 0.5 * model.num_parameters()

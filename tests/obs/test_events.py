@@ -4,12 +4,11 @@ import json
 
 import pytest
 
-from repro.obs import (EVENT_KINDS, BatchEnd, BenchResult, CacheHit,
-                       CacheMiss, CheckpointSaved, ConsoleSink, DatasetBuild,
-                       EpochEnd, EvalDone, EventBus, GradClip, JSONLSink,
-                       MemorySink, MetricsSnapshot, RunFinished, RunStarted,
+from repro.obs import (EVENT_KINDS, BatchEnd, BenchResult, CheckpointSaved,
+                       ConsoleSink, EpochEnd, EvalDone, EventBus, GradClip,
+                       JSONLSink, MemorySink, RunFinished, RunStarted,
                        SpanEvent, bus_scope, event_from_record,
-                       event_to_record, get_bus, read_trace, validate_record)
+                       event_to_record, get_bus, read_trace)
 
 
 def sample_events():
@@ -29,21 +28,9 @@ def sample_events():
                     reference_seconds=0.04, fast_seconds=0.01, speedup=4.0,
                     meta={"kernel": [1, 3]}),
         GradClip(epoch=1, batch=3, norm=7.25, max_norm=5.0),
-        CacheHit(name="metr-la", scale="ci", key="0123456789abcdef",
-                 path="/tmp/cache/metr-la_ci_0123456789abcdef.npz",
-                 seconds=0.05),
-        CacheMiss(name="metr-la", scale="ci", key="0123456789abcdef"),
-        DatasetBuild(name="metr-la", scale="ci", num_nodes=7,
-                     num_steps=1152, seconds=0.8, cached=True),
         SpanEvent(label="train/batch", span_id="2f", parent_id="1a",
                   t_start=1700000000.5, seconds=0.025, status="ok",
                   depth=2, thread=12345, attrs={"batch": 4}),
-        MetricsSnapshot(label="fit", counters={"train/batches": 6},
-                        gauges={"lr": 0.01},
-                        histograms={"train/batch_seconds": {
-                            "count": 6, "total": 0.9,
-                            "buckets": [0.01, 0.1],
-                            "counts": [0, 5, 1]}}),
     ]
 
 
@@ -62,26 +49,6 @@ class TestEventRecords:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown event kind"):
             event_from_record({"event": "nope"})
-
-    @pytest.mark.parametrize("kind, suite", [
-        pytest.param(kind, suite, id=kind) for kind, suite in (
-            ("kernel_bench", "kernels"), ("optim_bench", "optim"),
-            ("data_bench", "data"), ("obs_bench", "obs"))])
-    def test_legacy_bench_kind_reads_as_bench_result(self, kind, suite,
-                                                     tmp_path):
-        """Traces written before the single ``bench_result`` kind still
-        read, validate and parse, with ``suite`` taken from the kind."""
-        record = {"event": kind, "t": 1.0, "name": "case", "mode": "full",
-                  "reference_seconds": 0.2, "fast_seconds": 0.1,
-                  "speedup": 2.0, "meta": {"n": 1}}
-        path = tmp_path / "old.jsonl"
-        path.write_text(json.dumps(record) + "\n")
-        expected = BenchResult(suite=suite, name="case", mode="full",
-                               reference_seconds=0.2, fast_seconds=0.1,
-                               speedup=2.0, meta={"n": 1}, t=1.0)
-        assert read_trace(path, strict=True) == [expected]
-        assert event_from_record(record) == expected
-        assert validate_record(record) == []
 
     def test_unknown_fields_ignored(self):
         record = event_to_record(BatchEnd(epoch=1, batch=2, loss=0.1))

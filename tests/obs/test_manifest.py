@@ -1,13 +1,19 @@
 """Run-manifest completeness and round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
 import repro
 from repro.core import TrainingConfig
-from repro.obs import (RunManifest, build_manifest, normalize_ru_maxrss,
-                       peak_rss_kb, read_manifest, write_manifest)
-from repro.obs.manifest import MANIFEST_SCHEMA_VERSION, REQUIRED_FIELDS
+from repro.obs import (build_manifest, normalize_ru_maxrss, peak_rss_kb,
+                       write_manifest)
+from repro.obs.manifest import MANIFEST_SCHEMA_VERSION
+
+# Fields every manifest on disk carries.
+REQUIRED_FIELDS = ("schema_version", "model", "dataset", "seed", "config",
+                   "num_parameters", "wall_seconds", "repro_version")
 
 
 @pytest.fixture
@@ -76,28 +82,10 @@ class TestNormalizeRuMaxrss:
 class TestManifestIO:
     def test_round_trip(self, tmp_path, manifest):
         path = write_manifest(tmp_path / "run.json", manifest)
-        assert read_manifest(path) == manifest
+        assert json.loads(path.read_text()) == manifest.to_dict()
 
     def test_required_fields_present_on_disk(self, tmp_path, manifest):
-        import json
         path = write_manifest(tmp_path / "run.json", manifest)
         payload = json.loads(path.read_text())
         for field in REQUIRED_FIELDS:
             assert field in payload
-
-    def test_missing_required_field_rejected(self, tmp_path, manifest):
-        import json
-        path = write_manifest(tmp_path / "run.json", manifest)
-        payload = json.loads(path.read_text())
-        del payload["seed"]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="missing required fields"):
-            read_manifest(path)
-
-    def test_unknown_keys_survive_in_extra(self):
-        payload = build_manifest(model="m", dataset="d", seed=0,
-                                 config={}, num_parameters=1,
-                                 wall_seconds=0.1).to_dict()
-        payload["future_field"] = [1, 2, 3]
-        restored = RunManifest.from_dict(payload)
-        assert restored.extra["future_field"] == [1, 2, 3]

@@ -6,8 +6,7 @@ import pytest
 
 from repro.core import TrainingConfig, run_experiment
 from repro.obs import (EventBus, JSONLSink, MemorySink, SpanEvent, SpanTree,
-                       bus_scope, current_span, disable_spans, span,
-                       span_report, spans_enabled)
+                       bus_scope, disable_spans, span, span_report)
 
 
 def recorded(sink):
@@ -42,14 +41,15 @@ class TestSpanNesting:
         assert first.span_id != second.span_id
 
     def test_current_span_tracks_the_stack(self):
+        """A span opens under whichever span is open at that moment."""
         bus = EventBus([MemorySink()])
-        assert current_span() is None
         with span("outer", bus=bus) as outer:
-            assert current_span() is outer
             with span("inner", bus=bus) as inner:
-                assert current_span() is inner
-            assert current_span() is outer
-        assert current_span() is None
+                assert inner.parent_id == outer.span_id
+            with span("sibling", bus=bus) as sibling:
+                assert sibling.parent_id == outer.span_id
+        with span("after", bus=bus) as after:
+            assert after.parent_id == "" and after.depth == 0
 
     def test_timing_and_status(self):
         sink = MemorySink()
@@ -95,27 +95,33 @@ class TestNoOpPath:
         with span("quiet", bus=bus) as sp:
             assert repr(sp) == "<span disabled>"
             assert sp.set(anything="goes") is sp
-            assert current_span() is None
+            with span("inside", bus=EventBus([MemorySink()])) as inner:
+                assert inner.parent_id == ""      # the no-op span is no parent
 
     def test_disable_spans_suppresses_recording(self):
         sink = MemorySink()
         bus = EventBus([sink])
-        assert spans_enabled(bus)
         with disable_spans():
-            assert not spans_enabled(bus)
             with span("hidden", bus=bus):
                 pass
             with disable_spans():             # nests
                 pass
-            assert not spans_enabled(bus)
-        assert spans_enabled(bus)
+            with span("still hidden", bus=bus):
+                pass
         assert recorded(sink) == []
+        with span("shown", bus=bus):
+            pass
+        assert [e.label for e in recorded(sink)] == ["shown"]
 
-    def test_spans_enabled_follows_ambient_bus(self):
+    def test_span_follows_ambient_bus(self):
         with bus_scope(EventBus()):
-            assert not spans_enabled()
-        with bus_scope(EventBus([MemorySink()])):
-            assert spans_enabled()
+            with span("quiet") as sp:
+                assert repr(sp) == "<span disabled>"
+        sink = MemorySink()
+        with bus_scope(EventBus([sink])):
+            with span("heard"):
+                pass
+        assert [e.label for e in recorded(sink)] == ["heard"]
 
 
 class TestSpanFailure:
@@ -147,7 +153,6 @@ class TestSpanFailure:
         with pytest.raises(ValueError):
             with span("doomed", bus=bus):
                 raise ValueError()
-        assert current_span() is None
         with span("after", bus=bus) as sp:    # next span is a fresh root
             assert sp.depth == 0
 

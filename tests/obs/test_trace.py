@@ -7,8 +7,7 @@ import pytest
 from repro.core import TrainingConfig, run_experiment, train_model
 from repro.models import create_model
 from repro.obs import (EventBus, JSONLSink, MemorySink, bus_scope,
-                       read_manifest, read_trace, summarize_trace,
-                       validate_trace)
+                       read_trace, summarize_trace, validate_trace)
 
 FAST = TrainingConfig(epochs=1, batch_size=32, max_batches_per_epoch=3,
                       learning_rate=0.01)
@@ -67,16 +66,17 @@ class TestExperimentTrace:
 
     def test_manifest_written_and_complete(self, traced_run):
         result, _, manifest_path = traced_run
-        manifest = read_manifest(manifest_path)
-        assert manifest.model == "linear"
-        assert manifest.dataset == "metr-la"
-        assert manifest.seed == 0
-        assert manifest.config["epochs"] == 1
-        assert manifest.num_parameters == result.evaluation.num_parameters
-        assert manifest.wall_seconds > 0
-        assert manifest.best_val_mae == pytest.approx(
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["model"] == "linear"
+        assert manifest["dataset"] == "metr-la"
+        assert manifest["seed"] == 0
+        assert manifest["config"]["epochs"] == 1
+        assert manifest["num_parameters"] == (
+            result.evaluation.num_parameters)
+        assert manifest["wall_seconds"] > 0
+        assert manifest["best_val_mae"] == pytest.approx(
             min(result.history.val_maes))
-        assert manifest.test_mae_15 == pytest.approx(
+        assert manifest["test_mae_15"] == pytest.approx(
             result.evaluation.full[15].mae)
 
     def test_telemetry_does_not_change_results(self, ci_dataset):
@@ -170,6 +170,21 @@ class TestForeignEventKinds:
         with pytest.raises(ValueError, match="unknown event kind "
                                              "'from_the_future'"):
             read_trace(path, strict=True)
+
+    def test_retired_kinds_are_skipped(self, tmp_path):
+        """Kinds older traces carry and this version no longer emits
+        (cache telemetry, registry snapshots, per-suite bench records)
+        read like foreign ones: skipped, with a note."""
+        path = tmp_path / "old.jsonl"
+        path.write_text("".join(
+            json.dumps({"event": kind, "t": 1.0}) + "\n"
+            for kind in ("cache_hit", "metrics", "kernel_bench")))
+        problems = []
+        assert read_trace(path, problems=problems) == []
+        assert problems == [
+            "line 1: skipped unknown event kind 'cache_hit'",
+            "line 2: skipped unknown event kind 'metrics'",
+            "line 3: skipped unknown event kind 'kernel_bench'"]
 
     def test_malformed_json_is_always_an_error(self, tmp_path):
         path = tmp_path / "broken.jsonl"

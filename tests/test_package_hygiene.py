@@ -180,10 +180,6 @@ class TestNoTestOnlyNames:
         "density_from_speed":
             "test oracle: the inverse that speed_from_density is checked "
             "against",
-        "col_indices_cache_info":
-            "seam through which tests observe the im2col index cache",
-        "clear_col_indices_cache":
-            "seam through which tests reset the im2col index cache",
         "gradcheck":
             "test oracle: the numerical gradients every backward is "
             "checked against",
@@ -195,17 +191,8 @@ class TestNoTestOnlyNames:
             "policy",
         "load_saved_dataset":
             "reader of the .npz files save_dataset writes (docs/api.md)",
-        "read_manifest":
-            "reader of the run.json manifests write_manifest writes "
-            "(docs/observability.md)",
         "CheckpointCallback":
             "documented resumable-training callback (docs/training.md)",
-        "current_span":
-            "documented span API for user code (docs/observability.md)",
-        "spans_enabled":
-            "documented span API for user code (docs/observability.md)",
-        "parameter_breakdown":
-            "per-submodule parameter counts, the data behind summarize",
     }
 
     def test_every_exported_name_has_a_caller(self):

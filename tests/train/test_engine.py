@@ -21,15 +21,21 @@ def linear(ci_dataset, seed=0):
                         ci_dataset.adjacency, seed=seed)
 
 
-def capture_optimizer(captured):
-    """An ``optimizer_factory`` that exposes the engine's optimizer."""
-    from repro.train.engine import _default_optimizer
+class CaptureOptimizer(Callback):
+    """Exposes the engine's optimizer as ``self.optimizer``."""
 
-    def factory(model, config):
-        captured["optimizer"] = _default_optimizer(model, config)
-        return captured["optimizer"]
+    optimizer = None
 
-    return factory
+    def on_fit_start(self, state):
+        self.optimizer = state.optimizer
+
+
+def capturing_engine(config):
+    """An engine with the default callbacks plus a :class:`CaptureOptimizer`;
+    returns ``(engine, capture)``."""
+    capture = CaptureOptimizer()
+    engine = Engine(config, callbacks=default_callbacks(config) + [capture])
+    return engine, capture
 
 
 class TestEngineParity:
@@ -79,11 +85,10 @@ class TestEngineParity:
         assert out == expected
 
     def test_default_optimizer_is_fused_arena_adam(self, ci_dataset):
-        captured = {}
-        engine = Engine(FAST, optimizer_factory=capture_optimizer(captured))
+        engine, capture = capturing_engine(FAST)
         model = linear(ci_dataset)
         engine.fit(model, ci_dataset, seed=0)
-        optimizer = captured["optimizer"]
+        optimizer = capture.optimizer
         assert optimizer.arena is not None
         assert optimizer.arena.covers(model.parameters())
         assert optimizer.weight_decay == FAST.weight_decay
@@ -208,15 +213,13 @@ class TestScheduleAndPatience:
     def test_best_restore_keeps_scheduled_lr(self, ci_dataset):
         """Restoring the best weights must not resurrect the pre-schedule
         learning rate: the optimizer stays where the schedule left it."""
-        captured = {}
         config = TrainingConfig(epochs=4, max_batches_per_epoch=3,
                                 learning_rate=0.1,
                                 lr_schedule="exponential")
-        engine = Engine(config,
-                        optimizer_factory=capture_optimizer(captured))
+        engine, capture = capturing_engine(config)
         model = linear(ci_dataset)
         history = engine.fit(model, ci_dataset, seed=0)
-        assert captured["optimizer"].lr == pytest.approx(0.1 * 0.9 ** 4,
+        assert capture.optimizer.lr == pytest.approx(0.1 * 0.9 ** 4,
                                                          rel=1e-12)
         prediction, _ = predict(model, ci_dataset.supervised.val,
                                 ci_dataset.supervised.scaler)
@@ -224,16 +227,14 @@ class TestScheduleAndPatience:
         assert final_val == pytest.approx(min(history.val_maes), rel=1e-9)
 
     def test_early_stop_leaves_lr_at_stopping_epoch(self, ci_dataset):
-        captured = {}
         config = TrainingConfig(epochs=50, max_batches_per_epoch=2,
                                 learning_rate=0.3, patience=1,
                                 lr_schedule="exponential")
-        engine = Engine(config,
-                        optimizer_factory=capture_optimizer(captured))
+        engine, capture = capturing_engine(config)
         history = engine.fit(linear(ci_dataset), ci_dataset, seed=0)
         epochs_ran = len(history.train_losses)
         assert epochs_ran < 50                  # patience actually fired
-        assert captured["optimizer"].lr == pytest.approx(
+        assert capture.optimizer.lr == pytest.approx(
             0.3 * 0.9 ** epochs_ran, rel=1e-12)
 
 
@@ -253,14 +254,13 @@ class TestCheckpointResume:
         assert metadata["scheduler_epoch"] == 2
         assert "val_mae" in metadata
 
-        captured = {}
-        engine = Engine(full, optimizer_factory=capture_optimizer(captured))
+        engine, capture = capturing_engine(full)
         resumed = engine.fit(linear(ci_dataset, seed=5), ci_dataset,
                              seed=0, resume_from=path)
         assert len(resumed.train_losses) == 2   # epochs 3 and 4 only
         # The schedule continued from the restored counter: four total
         # decay steps, not a restart from the config learning rate.
-        assert captured["optimizer"].lr == pytest.approx(0.1 * 0.9 ** 4,
+        assert capture.optimizer.lr == pytest.approx(0.1 * 0.9 ** 4,
                                                          rel=1e-12)
 
     def test_checkpoint_every_n_epochs(self, ci_dataset, tmp_path):
