@@ -339,8 +339,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     The patches come from :func:`repro.nn.kernels.im2col`'s strided window
     view (a free view for 1×1 kernels), the three matrix contractions are
     BLAS GEMMs (``np.matmul``), and the backward input scatter uses the
-    vectorised :func:`repro.nn.kernels.col2im` (strided slice adds /
-    bincount) rather than ``np.add.at``.
+    vectorised :func:`repro.nn.kernels.col2im` (strided slice adds)
+    rather than ``np.add.at``.
     """
     stride = (int(stride[0]), int(stride[1]))
     dilation = (int(dilation[0]), int(dilation[1]))
