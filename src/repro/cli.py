@@ -323,7 +323,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     batch = min(args.batch_size, train.num_samples)
     x_batch, y_batch, _ = train.batch(np.arange(batch),
                                       target_scaler=data.supervised.scaler)
-    x, y = Tensor(x_batch), Tensor(y_batch)
+    x = Tensor(x_batch, dtype=model.dtype)
+    y = Tensor(y_batch, dtype=model.dtype)
     print(f"{args.model} on {args.dataset} "
           f"(batch {args.batch_size}, {data.num_nodes} nodes)\n")
     print(summarize(model, max_depth=1))

@@ -134,16 +134,18 @@ def predict(model: TrafficModel, split: SupervisedSplit, scaler,
 
     Batches flow through the same :class:`~repro.datasets.DataLoader`
     gather path as training, so a lazy split never materialises its full
-    input tensor for evaluation either.
+    input tensor for evaluation either.  Each batch is cast to
+    ``model.dtype``; the predictions come back in float64, like the data.
     """
     model.eval()
+    dtype = model.dtype
     loader = DataLoader(split, batch_size=batch_size, shuffle=False)
     outputs = []
     start = time.perf_counter()
     with span("eval/predict", samples=split.num_samples,
               batch_size=batch_size), no_grad():
         for x, _, _ in loader:
-            outputs.append(model(Tensor(x)).numpy())
+            outputs.append(model(Tensor(x, dtype=dtype)).numpy())
     elapsed = time.perf_counter() - start
     scaled = np.concatenate(outputs, axis=0)
     return scaler.inverse_transform(scaled), elapsed
@@ -221,7 +223,8 @@ def run_experiment(model_name: str, dataset: LoadedDataset,
             manifest = build_manifest(
                 model=model_name, dataset=dataset.spec.name, seed=seed,
                 config=config, num_parameters=evaluation.num_parameters,
-                wall_seconds=wall_seconds, best_epoch=history.best_epoch,
+                wall_seconds=wall_seconds, dtype=model.dtype.name,
+                best_epoch=history.best_epoch,
                 best_val_mae=None if np.isnan(best_val) else float(best_val),
                 test_mae_15=float(evaluation.full[15].mae)
                 if 15 in evaluation.full else None)

@@ -105,7 +105,8 @@ def robustness_probe(model: TrafficModel, dataset: LoadedDataset,
         outputs = []
         with no_grad():
             for x, _, _ in loader:
-                outputs.append(model(Tensor(corruption.apply(x, rng))).numpy())
+                batch = Tensor(corruption.apply(x, rng), dtype=model.dtype)
+                outputs.append(model(batch).numpy())
         prediction = scaler.inverse_transform(np.concatenate(outputs, axis=0))
         results[corruption.name] = evaluate_horizons(prediction, split.y)
     return results

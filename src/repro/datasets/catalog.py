@@ -23,7 +23,7 @@ import numpy as np
 
 from ..graph.adjacency import gaussian_adjacency
 from ..graph.road_network import RoadNetwork, build_network
-from ..obs.events import EventBus
+from ..obs.events import EventBus, bus_scope, get_bus
 from ..obs.spans import span
 from ..obs.stats import get_registry
 from .cache import DatasetCache, cache_enabled, dataset_cache_key
@@ -159,8 +159,9 @@ def load_dataset(name: str, scale: str = "ci",
         ``REPRO_DATA_CACHE`` environment default (on); ``False`` forces a
         fresh build, ``True`` forces cache use.
     bus:
-        Event bus for the ``data/load`` and ``data/build`` spans (the
-        ambient bus when None).
+        Event bus for the ``data/load`` and ``data/build`` spans and the
+        cache's ``data/cache_get``/``data/cache_put`` spans nested in
+        them (the ambient bus when None).
     """
     spec_key = name.lower().replace("_", "-")
     if spec_key not in DATASETS:
@@ -176,8 +177,10 @@ def load_dataset(name: str, scale: str = "ci",
     use_cache = cache_enabled() if cache is None else bool(cache)
     cache_key = dataset_cache_key(spec, sim_config, window, seed_offset,
                                   scale)
-    with span("data/load", bus=bus, dataset=spec.name, scale=scale,
-              key=cache_key) as sp:
+    bus = bus if bus is not None else get_bus()
+    # The cache opens its spans on the ambient bus: make it this one.
+    with bus_scope(bus), span("data/load", bus=bus, dataset=spec.name,
+                              scale=scale, key=cache_key) as sp:
         store = DatasetCache() if use_cache else None
         if store is not None:
             cached = store.get(spec.name, scale, cache_key)

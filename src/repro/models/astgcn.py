@@ -105,7 +105,8 @@ class _ASTGCNBlock(Module):
         features = x_reweighted.transpose(0, 3, 1, 2)   # (B, T, N, F)
         out = None
         for k in range(self.cheb_order):
-            masked = spatial * Tensor(self.cheb[k])     # (B, N, N)
+            cheb = Tensor(self.cheb[k], dtype=x.dtype)
+            masked = spatial * cheb                     # (B, N, N)
             propagated = F.einsum("bnm,btmf->btnf", masked, features)
             term = propagated.matmul(self.cheb_weight[k])
             out = term if out is None else out + term

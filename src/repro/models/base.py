@@ -43,14 +43,25 @@ def model_names() -> list[str]:
 
 def create_model(name: str, num_nodes: int, adjacency: np.ndarray,
                  history: int = 12, horizon: int = 12, in_features: int = 2,
-                 seed: int = 0, **hparams) -> "TrafficModel":
-    """Instantiate a registered model by name."""
+                 seed: int = 0, *, dtype=np.float32,
+                 **hparams) -> "TrafficModel":
+    """Instantiate a registered model by name.
+
+    ``dtype`` is the float dtype the model trains and infers in: float32,
+    PyTorch's default and the paper's, or float64.  The model is built
+    (in float64, so a seed draws the same initial weights either way) and
+    then its parameters and float buffers are cast once, before anything
+    packs them into an arena; the arena, gradients and optimizer state
+    follow the parameters.  Callers cast each batch to ``model.dtype``.
+    """
     key = name.lower().replace("_", "-")
     if key not in MODEL_REGISTRY:
         raise KeyError(f"unknown model {name!r}; choose from {model_names()}")
-    return MODEL_REGISTRY[key](num_nodes=num_nodes, adjacency=adjacency,
-                               history=history, horizon=horizon,
-                               in_features=in_features, seed=seed, **hparams)
+    model = MODEL_REGISTRY[key](num_nodes=num_nodes, adjacency=adjacency,
+                                history=history, horizon=horizon,
+                                in_features=in_features, seed=seed, **hparams)
+    model._cast(dtype)
+    return model
 
 
 class TrafficModel(Module):

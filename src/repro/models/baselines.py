@@ -31,7 +31,7 @@ class LastValue(TrafficModel):
 
     def training_loss(self, x, y_scaled, null_mask=None):
         # Nothing to learn; return a constant zero so the trainer is a no-op.
-        return Tensor(np.zeros(()), requires_grad=False)
+        return Tensor(np.zeros((), dtype=x.dtype), requires_grad=False)
 
 
 @register_model("historical-average")
@@ -45,7 +45,7 @@ class HistoricalAverage(TrafficModel):
         return F.stack(frames, axis=1)
 
     def training_loss(self, x, y_scaled, null_mask=None):
-        return Tensor(np.zeros(()), requires_grad=False)
+        return Tensor(np.zeros((), dtype=x.dtype), requires_grad=False)
 
 
 @register_model("linear")

@@ -85,7 +85,8 @@ class DCRNN(TrafficModel):
     # ------------------------------------------------------------------ #
     def _encode(self, x: Tensor) -> list[Tensor]:
         batch = x.shape[0]
-        hidden = [Tensor(np.zeros((batch, self.num_nodes, self.hidden_size)))
+        hidden = [Tensor(np.zeros((batch, self.num_nodes, self.hidden_size),
+                                  dtype=x.dtype))
                   for _ in range(self.num_layers)]
         for step in F.unbind(x, axis=1):
             for layer, cell in enumerate(self.encoder):
@@ -95,7 +96,8 @@ class DCRNN(TrafficModel):
 
     def _decode(self, hidden: list[Tensor], batch: int,
                 teacher: Tensor | None = None) -> Tensor:
-        go = Tensor(np.zeros((batch, self.num_nodes, 1)))
+        go = Tensor(np.zeros((batch, self.num_nodes, 1),
+                             dtype=hidden[0].dtype))
         step_input = go
         outputs = []
         for t in range(self.horizon):

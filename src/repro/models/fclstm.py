@@ -49,16 +49,16 @@ class FCLSTM(TrafficModel):
         batch = x.shape[0]
         flat = x.reshape(batch, self.history,
                          self.num_nodes * self.in_features)
-        h = [Tensor(np.zeros((batch, self.hidden_size)))
+        h = [Tensor(np.zeros((batch, self.hidden_size), dtype=x.dtype))
              for _ in range(self.num_layers)]
-        c = [Tensor(np.zeros((batch, self.hidden_size)))
+        c = [Tensor(np.zeros((batch, self.hidden_size), dtype=x.dtype))
              for _ in range(self.num_layers)]
         for step in F.unbind(flat, axis=1):
             for layer, cell in enumerate(self.encoder):
                 h[layer], c[layer] = cell(step, (h[layer], c[layer]))
                 step = h[layer]
 
-        step_input = Tensor(np.zeros((batch, self.num_nodes)))
+        step_input = Tensor(np.zeros((batch, self.num_nodes), dtype=x.dtype))
         outputs = []
         for t in range(self.horizon):
             step = step_input

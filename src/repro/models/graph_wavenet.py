@@ -56,7 +56,8 @@ class GWNetGraphConv(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         propagated = [x if identity else
-                      F.einsum("nm,bcmt->bcnt", Tensor(support), x)
+                      F.einsum("nm,bcmt->bcnt",
+                               Tensor(support, dtype=x.dtype), x)
                       for support, identity in zip(self.supports,
                                                    self._identity)]
         if self.adaptive:

@@ -46,14 +46,15 @@ class GRUSeq2Seq(TrafficModel):
         batch, history, nodes, features = x.shape
         # Flatten (batch, node) into one recurrence axis: no cross-node flow.
         flat = x.transpose(0, 2, 1, 3).reshape(batch * nodes, history, features)
-        hidden = [Tensor(np.zeros((batch * nodes, self.hidden_size)))
+        hidden = [Tensor(np.zeros((batch * nodes, self.hidden_size),
+                                  dtype=x.dtype))
                   for _ in range(self.num_layers)]
         for step in F.unbind(flat, axis=1):
             for layer, cell in enumerate(self.encoder):
                 hidden[layer] = cell(step, hidden[layer])
                 step = hidden[layer]
 
-        step_input = Tensor(np.zeros((batch * nodes, 1)))
+        step_input = Tensor(np.zeros((batch * nodes, 1), dtype=x.dtype))
         outputs = []
         for t in range(self.horizon):
             step = step_input

@@ -49,7 +49,8 @@ class GatedGraphConvModule(Module):
         padded = x.pad(((0, 0), (self.window - 1, 0), (0, 0), (0, 0)))
         frames = [padded[:, k:k + x.shape[1]] for k in range(self.window)]
         stacked = F.concat(frames, axis=-1)            # (B, T, N, window*C)
-        propagated = F.einsum("nm,btmc->btnc", Tensor(self.support), stacked)
+        propagated = F.einsum("nm,btmc->btnc",
+                              Tensor(self.support, dtype=x.dtype), stacked)
         gated = propagated.matmul(self.weight) + self.bias
         value, gate = F.split(gated, 2, axis=-1)
         return x + value * gate.sigmoid()

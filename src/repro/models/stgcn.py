@@ -135,7 +135,8 @@ class STGCN(TrafficModel):
             prediction = self._single_step(window)     # (B, N)
             predictions.append(prediction)
             next_time = (last_time + (step + 1) * dt) % 1.0
-            frame = F.stack([prediction, Tensor(next_time)], axis=-1)  # (B,N,2)
+            frame = F.stack([prediction, Tensor(next_time, dtype=x.dtype)],
+                            axis=-1)                   # (B, N, 2)
             window = F.concat([window[:, 1:], frame.expand_dims(1)], axis=1)
         return F.stack(predictions, axis=1)            # (B, T, N)
 

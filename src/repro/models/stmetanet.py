@@ -130,7 +130,9 @@ class MetaGAT(Module):
         content_logit = content.matmul(h.swapaxes(-1, -2))      # (B, N, N)
         scale = 1.0 / np.sqrt(h.shape[-1])
         logits = content_logit * scale + static_logit
-        logits = logits + Tensor(np.where(self.edge_mask, 0.0, -1e9))
+        kind = logits.dtype.type
+        logits = logits + Tensor(np.where(self.edge_mask, kind(0.0),
+                                          kind(-1e9)))
         weights = F.softmax(logits, axis=-1)
         aggregated = weights.matmul(h)
         gate = self.gate.sigmoid()
@@ -169,13 +171,15 @@ class STMetaNet(TrafficModel):
     def _run(self, x: Tensor, teacher: Tensor | None) -> Tensor:
         batch = x.shape[0]
         meta = self._meta()
-        h = Tensor(np.zeros((batch, self.num_nodes, self.hidden_size)))
+        h = Tensor(np.zeros((batch, self.num_nodes, self.hidden_size),
+                            dtype=x.dtype))
         weights = self.encoder.node_weights(meta)
         for step in F.unbind(x, axis=1):
             h = self.encoder(step, h, weights)
         h = self.gat(h, meta)
 
-        step_input = Tensor(np.zeros((batch, self.num_nodes, 1)))
+        step_input = Tensor(np.zeros((batch, self.num_nodes, 1),
+                                     dtype=x.dtype))
         weights = self.decoder.node_weights(meta)
         outputs = []
         for t in range(self.horizon):

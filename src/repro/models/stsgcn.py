@@ -67,7 +67,7 @@ class STSGCModule(Module):
         batch = window.shape[0]
         n = self.num_nodes
         x = window.reshape(batch, 3 * n, window.shape[-1])   # (B, 3N, C)
-        support = self.mask * Tensor(self.block_adjacency)
+        support = self.mask * Tensor(self.block_adjacency, dtype=window.dtype)
         outputs = []
         for layer in self.layers:
             x = layer(x, support)

@@ -9,6 +9,12 @@ Optimizer state is Adam's: the learning rate, the step count, and the
 two moment buffers ``m``/``v``, each one flat array, accompanied by a
 JSON ``spec`` recording every parameter's name/shape/offset inside them
 — the same layout :class:`repro.nn.arena.ParameterArena` uses in memory.
+
+The metadata blob also records the model's parameter dtype (under
+:data:`DTYPE_KEY`), and a checkpoint only loads into a model of that
+dtype: assigning float64 values into float32 parameters would round them
+without a word (and the reverse would widen them), so a resumed run would
+no longer equal the uninterrupted one.
 """
 
 from __future__ import annotations
@@ -23,6 +29,10 @@ from .optim.adam import Adam
 
 __all__ = ["save_checkpoint", "load_checkpoint", "optimizer_state",
            "load_optimizer_state"]
+
+#: Metadata key holding the parameter dtype; checkpoints without it were
+#: written by the float64-only engine.
+DTYPE_KEY = "param_dtype"
 
 
 def optimizer_state(optimizer: Adam) -> dict[str, np.ndarray]:
@@ -70,8 +80,9 @@ def save_checkpoint(path: str | Path, model: Module,
                     metadata: dict | None = None) -> None:
     """Write model (+ optional optimizer) state and JSON metadata.
 
-    Announces the save as a ``checkpoint_saved`` telemetry event on the
-    ambient :class:`repro.obs.EventBus`.
+    The metadata gains the model's parameter dtype under
+    :data:`DTYPE_KEY`.  Announces the save as a ``checkpoint_saved``
+    telemetry event on the ambient :class:`repro.obs.EventBus`.
     """
     from ..obs.events import CheckpointSaved, get_bus
 
@@ -81,7 +92,8 @@ def save_checkpoint(path: str | Path, model: Module,
     if optimizer is not None:
         for key, value in optimizer_state(optimizer).items():
             payload[f"optim/{key}"] = value
-    meta_blob = json.dumps(metadata or {}).encode()
+    meta_blob = json.dumps({**(metadata or {}),
+                            DTYPE_KEY: model.dtype.name}).encode()
     payload["metadata"] = np.frombuffer(meta_blob, dtype=np.uint8)
     np.savez(path, **payload)
     get_bus().emit(CheckpointSaved(path=str(path), num_arrays=len(payload)))
@@ -89,8 +101,19 @@ def save_checkpoint(path: str | Path, model: Module,
 
 def load_checkpoint(path: str | Path, model: Module,
                     optimizer: Adam | None = None) -> dict:
-    """Restore model (+ optional optimizer); returns the metadata dict."""
+    """Restore model (+ optional optimizer); returns the metadata dict.
+
+    Raises ``ValueError`` naming both dtypes when the checkpoint's
+    parameter dtype is not the model's.
+    """
     with np.load(path) as archive:
+        metadata = json.loads(bytes(archive["metadata"]).decode())
+        saved = metadata.pop(DTYPE_KEY, "float64")
+        if saved != model.dtype.name:
+            raise ValueError(
+                f"checkpoint {str(path)!r} holds {saved} parameters, the "
+                f"model is {model.dtype.name}; build the model with "
+                f"dtype={saved} to load it")
         model_state = {key[len("model/"):]: archive[key]
                        for key in archive.files if key.startswith("model/")}
         model.load_state_dict(model_state)
@@ -100,5 +123,4 @@ def load_checkpoint(path: str | Path, model: Module,
             if not optim_state:
                 raise KeyError("checkpoint contains no optimizer state")
             load_optimizer_state(optimizer, optim_state)
-        metadata = json.loads(bytes(archive["metadata"]).decode())
     return metadata

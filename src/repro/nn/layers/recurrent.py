@@ -97,7 +97,7 @@ class GRU(Module):
     def forward(self, x: Tensor, h0: list[Tensor] | None = None):
         batch, time, _ = x.shape
         if h0 is None:
-            h0 = [Tensor(np.zeros((batch, self.hidden_size)))
+            h0 = [Tensor(np.zeros((batch, self.hidden_size), dtype=x.dtype))
                   for _ in range(self.num_layers)]
         hidden = list(h0)
         outputs = []

@@ -89,6 +89,40 @@ class Module:
         """Total number of scalar learnable parameters."""
         return sum(p.size for p in self.parameters())
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The float dtype the module computes in: its first parameter's,
+        else its first float buffer's, else float64."""
+        for _, param in self.named_parameters():
+            return param.dtype
+        for _, module in self.named_modules():
+            for buf in module._buffers.values():
+                if buf.dtype.kind == "f":
+                    return buf.dtype
+        return np.dtype(np.float64)
+
+    def _cast(self, dtype) -> None:
+        """Cast every parameter and float buffer of the tree to ``dtype``.
+
+        Must run before the parameters are packed into an arena: a cast
+        parameter gets a new array, which would leave the arena's buffer
+        (and any optimizer over it) behind, so arena-bound ones refuse.
+        """
+        dtype = np.dtype(dtype)
+        if dtype not in (np.float32, np.float64):
+            raise ValueError(f"dtype must be float32 or float64, got {dtype}")
+        for name, param in self.named_parameters():
+            if param._arena is not None:
+                raise RuntimeError(
+                    f"parameter {name!r} is bound to an arena; cast the "
+                    "model before flattening its parameters")
+            param.data = param.data.astype(dtype, copy=False)
+        for _, module in self.named_modules():
+            for name, buf in module._buffers.items():
+                if buf.dtype.kind == "f":
+                    module._buffers[name] = buf.astype(dtype, copy=False)
+                    object.__setattr__(module, name, module._buffers[name])
+
     def flatten_parameters(self):
         """Pack every parameter into one flat arena; returns the arena.
 

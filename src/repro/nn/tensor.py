@@ -256,9 +256,19 @@ class Tensor:
         return Tensor(data, requires_grad=requires,
                       _parents=tuple(parents), _backward=backward, op=op)
 
-    @staticmethod
-    def _coerce(other) -> "Tensor":
-        return other if isinstance(other, Tensor) else Tensor(other)
+    def _coerce(self, other) -> "Tensor":
+        """``other`` as a Tensor operand of a binary op with ``self``.
+
+        A scalar (a Python number, a numpy scalar or a 0-d array) takes
+        ``self``'s dtype: NumPy 2 would promote a float32 array against a
+        float64 scalar, so ``x * 0.5`` stays in ``x``'s dtype.  Arrays
+        keep their own dtype.
+        """
+        if isinstance(other, Tensor):
+            return other
+        if np.ndim(other) == 0:
+            return Tensor(other, dtype=self.data.dtype)
+        return Tensor(other)
 
     def _accumulate(self, grad: np.ndarray) -> None:
         """Add one gradient contribution into :attr:`grad`.
@@ -427,6 +437,10 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
             raise TypeError("only scalar exponents are supported")
+        if isinstance(exponent, np.generic):
+            # A numpy scalar exponent is not "weak": as a Python number it
+            # keeps the base's dtype.
+            exponent = exponent.item()
         out_data = self.data ** exponent
 
         def backward(g: np.ndarray) -> None:
@@ -539,7 +553,9 @@ class Tensor:
         expanded = self.data.max(axis=axis, keepdims=True)
         mask = self.data == expanded
         # Split gradient among ties, like numpy-consistent subgradient.
-        counts = mask.sum(axis=axis, keepdims=True)
+        # The counts take the data's dtype: an int64 divisor would promote
+        # a float32 gradient to float64.
+        counts = mask.sum(axis=axis, keepdims=True, dtype=self.data.dtype)
 
         def backward(g: np.ndarray) -> None:
             gg = g

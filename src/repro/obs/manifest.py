@@ -2,8 +2,9 @@
 
 A manifest freezes everything Table III-style bookkeeping needs and that a
 trace alone does not carry: the full :class:`~repro.core.TrainingConfig`,
-model and dataset identity, seed, parameter count, wall time, peak RSS,
-and the library/interpreter versions the run executed under.  DL-Traff-
+model and dataset identity, the dtype the model computed in, seed,
+parameter count, wall time, peak RSS, and the library/interpreter
+versions the run executed under.  DL-Traff-
 style benchmark reproductions live or die by exactly this bookkeeping, so
 :func:`run_experiment` writes one whenever given ``manifest_path=``.
 """
@@ -58,6 +59,7 @@ class RunManifest:
     config: dict
     num_parameters: int
     wall_seconds: float
+    dtype: str = ""
     schema_version: int = MANIFEST_SCHEMA_VERSION
     peak_rss_kb: int | None = None
     repro_version: str = ""
@@ -75,6 +77,7 @@ class RunManifest:
 
 def build_manifest(model: str, dataset: str, seed: int, config: Any,
                    num_parameters: int, wall_seconds: float,
+                   dtype: str = "",
                    best_epoch: int = -1,
                    best_val_mae: float | None = None,
                    test_mae_15: float | None = None,
@@ -82,7 +85,8 @@ def build_manifest(model: str, dataset: str, seed: int, config: Any,
     """Assemble a :class:`RunManifest` with environment fields filled in.
 
     ``config`` may be the :class:`~repro.core.TrainingConfig` dataclass or
-    an already-flattened dict.
+    an already-flattened dict; ``dtype`` names the float dtype the model
+    trained and inferred in (``"float32"``).
     """
     from .. import __version__                      # lazy: avoids a cycle
 
@@ -91,7 +95,7 @@ def build_manifest(model: str, dataset: str, seed: int, config: Any,
     return RunManifest(
         model=model, dataset=dataset, seed=seed, config=dict(config),
         num_parameters=num_parameters, wall_seconds=wall_seconds,
-        peak_rss_kb=peak_rss_kb(),
+        dtype=dtype, peak_rss_kb=peak_rss_kb(),
         repro_version=__version__,
         numpy_version=np.__version__,
         python_version=platform.python_version(),

@@ -129,6 +129,9 @@ class Engine:
                             batch_size=config.batch_size,
                             shuffle=True, seed=seed,
                             target_scaler=dataset.supervised.scaler)
+        # The data stays float64; each batch is cast once, where it becomes
+        # a Tensor, to the dtype the model computes in.
+        dtype = model.dtype
 
         with contextlib.ExitStack() as stack:
             # Nested instrumentation (loader gathers, kernel spans,
@@ -157,8 +160,9 @@ class Engine:
                         with span("train/batch", bus=bus,
                                   batch=batch_index + 1, size=len(x)):
                             with span("train/forward", bus=bus):
-                                loss = model.training_loss(Tensor(x),
-                                                           Tensor(y_scaled))
+                                loss = model.training_loss(
+                                    Tensor(x, dtype=dtype),
+                                    Tensor(y_scaled, dtype=dtype))
                             optimizer.zero_grad()
                             # Each batch builds a fresh tape, so release
                             # this one eagerly — cuts peak RSS on the deep
@@ -217,8 +221,10 @@ class Engine:
             return True
         x, y_scaled, _ = split.batch(
             np.arange(1), target_scaler=dataset.supervised.scaler)
-        return bool(model.training_loss(Tensor(x),
-                                        Tensor(y_scaled)).requires_grad)
+        dtype = model.dtype
+        return bool(model.training_loss(
+            Tensor(x, dtype=dtype), Tensor(y_scaled, dtype=dtype)
+        ).requires_grad)
 
     @staticmethod
     def _resume(state: EngineState, path) -> None:

@@ -1,11 +1,14 @@
 """Checkpointing: model + optimizer state round trip, training resume."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.nn import Linear, Module, Tensor
-from repro.nn.checkpoint import (load_checkpoint, load_optimizer_state,
-                                 optimizer_state, save_checkpoint)
+from repro.nn.checkpoint import (DTYPE_KEY, load_checkpoint,
+                                 load_optimizer_state, optimizer_state,
+                                 save_checkpoint)
 from repro.nn.optim import Adam
 
 
@@ -155,3 +158,67 @@ class TestCheckpointTelemetry:
     def test_save_without_listeners_is_silent(self, tmp_path, capsys):
         save_checkpoint(tmp_path / "m.npz", Net())
         assert capsys.readouterr().out == ""
+
+
+def float32_net(seed=0):
+    net = Net(seed)
+    net._cast(np.float32)
+    return net
+
+
+class TestCheckpointDtype:
+    def test_float32_resume_reproduces_uninterrupted_training(self, batch,
+                                                              tmp_path):
+        x, y = (Tensor(t.data, dtype=np.float32) for t in batch)
+        reference = float32_net()
+        ref_optimizer = Adam(reference.parameters(), lr=0.05)
+        train_steps(reference, ref_optimizer, x, y, steps=6)
+
+        model = float32_net()
+        optimizer = Adam(model.parameters(), lr=0.05)
+        train_steps(model, optimizer, x, y, steps=3)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, model, optimizer, metadata={"step": 3})
+        with np.load(path) as archive:
+            assert archive["model/fc1.weight"].dtype == np.float32
+            assert archive["optim/m"].dtype == np.float32
+
+        resumed = float32_net(seed=42)
+        resumed_optimizer = Adam(resumed.parameters(), lr=0.05)
+        assert load_checkpoint(path, resumed, resumed_optimizer) == {"step": 3}
+        train_steps(resumed, resumed_optimizer, x, y, steps=3)
+        for got, expected in zip(resumed.parameters(),
+                                 reference.parameters()):
+            assert got.dtype == np.float32
+            np.testing.assert_array_equal(got.data, expected.data)
+
+    def test_dtype_recorded_in_metadata(self, tmp_path):
+        path = tmp_path / "m.npz"
+        save_checkpoint(path, float32_net(), metadata={"epoch": 2})
+        with np.load(path) as archive:
+            blob = json.loads(bytes(archive["metadata"]).decode())
+        assert blob == {"epoch": 2, DTYPE_KEY: "float32"}
+
+    @pytest.mark.parametrize("saved, loaded", [(Net, float32_net),
+                                               (float32_net, Net)])
+    def test_mismatch_refused(self, tmp_path, saved, loaded):
+        path = tmp_path / "m.npz"
+        save_checkpoint(path, saved())
+        model = loaded(seed=3)
+        before = [p.data.copy() for p in model.parameters()]
+        with pytest.raises(ValueError, match="float(32|64).*float(32|64)"):
+            load_checkpoint(path, model)
+        for param, value in zip(model.parameters(), before):
+            np.testing.assert_array_equal(param.data, value)
+
+    def test_checkpoint_without_dtype_is_float64(self, tmp_path):
+        """Checkpoints that predate the field came from the float64-only
+        engine."""
+        model = Net()
+        path = tmp_path / "old.npz"
+        np.savez(path, **{f"model/{k}": v
+                          for k, v in model.state_dict().items()},
+                 metadata=np.frombuffer(b"{}", dtype=np.uint8))
+        assert load_checkpoint(path, Net(seed=1)) == {}
+        with pytest.raises(ValueError, match="float64"):
+            load_checkpoint(path, float32_net())

@@ -64,3 +64,25 @@ def test_registry_holds_only_the_cache_counts(census):
     assert {name: counter.value
             for name, counter in registry.counters.items()} == {
         "data/cache_hits": 1, "data/cache_misses": 1}
+
+
+def test_cache_spans_follow_the_load_bus(tmp_path, monkeypatch):
+    """``load_dataset(bus=...)`` nests the cache's spans in its
+    ``data/load`` span on that bus, warm or cold, and leaves the ambient
+    bus alone."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    ambient, traced = MemorySink(), MemorySink()
+    with bus_scope(EventBus([ambient])):
+        bus = EventBus([traced])
+        load_dataset("pemsd8", scale="ci", bus=bus)
+        load_dataset("pemsd8", scale="ci", bus=bus)
+    assert ambient.events == []
+    spans = traced.of_kind("span")
+    cold, warm = [e for e in spans if e.label == "data/load"]
+    children = {}
+    for e in spans:
+        children.setdefault(e.parent_id, []).append(e)
+    assert sorted(e.label for e in children[cold.span_id]) == [
+        "data/build", "data/cache_get", "data/cache_put"]
+    (get,) = children[warm.span_id]
+    assert get.label == "data/cache_get" and get.attrs["hit"] is True

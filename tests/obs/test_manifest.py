@@ -36,6 +36,12 @@ class TestBuildManifest:
         assert manifest.config["epochs"] == 2
         assert manifest.config["batch_size"] == 32
 
+    def test_dtype_recorded(self):
+        built = build_manifest(model="m", dataset="d", seed=0, config={},
+                               num_parameters=1, wall_seconds=0.1,
+                               dtype="float32")
+        assert built.to_dict()["dtype"] == "float32"
+
     def test_config_accepts_plain_dict(self):
         built = build_manifest(model="m", dataset="d", seed=0,
                                config={"epochs": 9}, num_parameters=1,

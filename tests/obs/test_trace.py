@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core import TrainingConfig, run_experiment, train_model
@@ -78,6 +79,13 @@ class TestExperimentTrace:
             min(result.history.val_maes))
         assert manifest["test_mae_15"] == pytest.approx(
             result.evaluation.full[15].mae)
+        assert manifest["dtype"] == "float32"
+
+    def test_manifest_records_a_float64_run(self, ci_dataset, tmp_path):
+        path = tmp_path / "run.json"
+        run_experiment("linear", ci_dataset, FAST, seed=0,
+                       manifest_path=str(path), dtype=np.float64)
+        assert json.loads(path.read_text())["dtype"] == "float64"
 
     def test_telemetry_does_not_change_results(self, ci_dataset):
         plain = run_experiment("linear", ci_dataset, FAST, seed=1)

@@ -358,7 +358,9 @@ class TestTargetScalingHoist:
                 if batch_index >= config.max_batches_per_epoch:
                     break
                 y_scaled = supervised.scaler.transform(y)   # per batch
-                loss = legacy_model.training_loss(Tensor(x), Tensor(y_scaled))
+                dtype = legacy_model.dtype          # the engine's batch cast
+                loss = legacy_model.training_loss(
+                    Tensor(x, dtype=dtype), Tensor(y_scaled, dtype=dtype))
                 optimizer.zero_grad()
                 loss.backward(free_graph=True)
                 clip_grad_norm(optimizer.arena, config.grad_clip)
