@@ -28,6 +28,10 @@ Quickstart
 >>> result.evaluation.full[15].mae    # doctest: +SKIP
 """
 
+# Every world build and model init draws from numpy.random, which numpy
+# loads lazily; load it here so the first build does not pay for it.
+import numpy.random  # noqa: F401
+
 from . import core, datasets, graph, models, nn, obs, train
 from .core import (TrainingConfig, aggregate_runs, evaluate_model,
                    run_experiment, train_model)

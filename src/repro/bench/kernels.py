@@ -203,7 +203,8 @@ def _case_stgcn_train_step(sizes: dict, rng: np.random.Generator):
 
     nodes, batch = sizes["stgcn_nodes"], sizes["stgcn_batch"]
     adjacency = np.eye(nodes) + (rng.random((nodes, nodes)) > 0.6)
-    model = create_model("stgcn", nodes, adjacency, in_features=2, seed=0)
+    model = create_model("stgcn", nodes, adjacency, in_features=2, seed=0,
+                         dtype=np.float64)
     model.train()
     optimizer = Adam(model.parameters(), lr=1e-3)
     x = Tensor(rng.normal(size=(batch, 12, nodes, 2)))

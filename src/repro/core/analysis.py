@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .intervals import moving_std
 
@@ -52,6 +51,8 @@ def error_volatility_correlation(prediction: np.ndarray, target: np.ndarray,
                                        start_index, window, horizon_step)
     if len(volatility) < 3 or volatility.std() == 0 or errors.std() == 0:
         return float("nan"), 1.0
+    from scipy import stats
+
     r, p = stats.pearsonr(volatility, errors)
     return float(r), float(p)
 

@@ -11,6 +11,7 @@ fresh process reuses previously simulated worlds.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import asdict
@@ -23,6 +24,18 @@ from .results import (AggregateResult, aggregate_runs, load_results,
                       save_results)
 
 __all__ = ["BenchmarkMatrix"]
+
+
+@functools.cache
+def _source_digest() -> str:
+    """sha256 of the ``repro`` package's ``.py`` sources, read once per
+    process: a cached cell trained by other code is stale."""
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 class BenchmarkMatrix:
@@ -42,8 +55,9 @@ class BenchmarkMatrix:
         Seeds per cell (the paper uses five).
     cache_dir:
         Optional directory for a persistent cell cache.  Cells are keyed by
-        (model, dataset, scale, repeats, training-config fingerprint), so
-        changing any setting invalidates them.
+        (model, dataset, scale, repeats, training-config fingerprint,
+        digest of the package sources), so changing any setting or any
+        line of ``repro`` invalidates them.
     trace_dir:
         Optional directory for per-run telemetry: every trained seed writes
         a ``<model>_<dataset>_seed<k>.jsonl`` event trace plus a matching
@@ -77,7 +91,8 @@ class BenchmarkMatrix:
     def _fingerprint(self, model: str, dataset: str) -> str:
         payload = json.dumps({"model": model, "dataset": dataset,
                               "scale": self.scale, "repeats": self.repeats,
-                              "config": asdict(self.config)},
+                              "config": asdict(self.config),
+                              "code": _source_digest()},
                              sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .report import format_table
 from .results import AggregateResult
@@ -40,6 +39,8 @@ class RankTable:
 def rank_models(results: list[AggregateResult], minutes: int = 15,
                 metric: str = "mae", difficult: bool = False) -> RankTable:
     """Rank models within each dataset by mean metric (rank 1 = lowest)."""
+    from scipy import stats
+
     datasets = sorted({r.dataset_name for r in results})
     models = sorted({r.model_name for r in results})
     by_cell = {(r.model_name, r.dataset_name): r for r in results}
@@ -69,6 +70,8 @@ def friedman_test(table: RankTable) -> tuple[float, float]:
     if table.ranks.shape[0] < 2 or table.ranks.shape[1] < 3:
         return float("nan"), 1.0
     columns = [table.ranks[:, j] for j in range(table.ranks.shape[1])]
+    from scipy import stats
+
     statistic, p_value = stats.friedmanchisquare(*columns)
     return float(statistic), float(p_value)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .experiment import RunResult
 
@@ -53,6 +52,8 @@ def welch_test(values_a: np.ndarray, values_b: np.ndarray) -> tuple[float, float
         return float("nan"), 1.0
     if values_a.std() == 0 and values_b.std() == 0:
         return float("nan"), 1.0 if values_a.mean() == values_b.mean() else 0.0
+    from scipy import stats
+
     t_stat, p_value = stats.ttest_ind(values_a, values_b, equal_var=False)
     return float(t_stat), float(p_value)
 

@@ -5,7 +5,7 @@ from .cache import (CACHE_FORMAT_VERSION, CacheEntry, DatasetCache,
                     cache_enabled, dataset_cache_key, default_cache_dir)
 from .catalog import (DATASETS, FLOW_DATASETS, SPEED_DATASETS, DatasetSpec,
                       LoadedDataset, dataset_names, load_dataset)
-from .io import load_saved_dataset, save_dataset
+from .io import save_dataset
 from .fundamental import density_from_speed, flow_from_density, speed_from_density
 from .generator import (STEPS_PER_DAY, STEPS_PER_HOUR, SimulationConfig,
                         SimulationResult, TrafficSimulator)
@@ -23,7 +23,7 @@ __all__ = [
     "WindowConfig", "WindowSource", "SupervisedDataset", "SupervisedSplit",
     "make_windows",
     "StandardScaler", "MinMaxScaler", "DataLoader",
-    "save_dataset", "load_saved_dataset",
+    "save_dataset",
     "DatasetCache", "CacheEntry", "dataset_cache_key", "default_cache_dir",
     "cache_enabled", "CACHE_FORMAT_VERSION",
 ]

@@ -115,7 +115,7 @@ class DatasetCache:
 
     ``get``/``put`` move :class:`~repro.datasets.LoadedDataset` objects
     through :func:`~repro.datasets.save_dataset` /
-    :func:`~repro.datasets.load_saved_dataset`; ``entries``/``clear``
+    :func:`~repro.datasets.io.load_archive`; ``entries``/``clear``
     back the ``repro cache`` CLI.
     """
 

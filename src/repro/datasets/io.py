@@ -26,7 +26,7 @@ from .catalog import DatasetSpec, LoadedDataset
 from .generator import SimulationResult
 from .windows import WindowConfig, make_windows
 
-__all__ = ["save_dataset", "load_saved_dataset"]
+__all__ = ["save_dataset"]
 
 
 def save_dataset(dataset: LoadedDataset, path: str | Path, *,
@@ -71,11 +71,6 @@ def save_dataset(dataset: LoadedDataset, path: str | Path, *,
         day_of_week=sim.day_of_week,
         missing_mask=sim.missing_mask,
     )
-
-
-def load_saved_dataset(path: str | Path) -> LoadedDataset:
-    """Rebuild a :class:`LoadedDataset` saved by :func:`save_dataset`."""
-    return load_archive(path)[1]
 
 
 def load_archive(path: str | Path) -> tuple[dict, LoadedDataset]:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import BenchmarkMatrix, TrainingConfig
+from repro.core import matrix as matrix_module
 
 FAST = TrainingConfig(epochs=1, max_batches_per_epoch=2)
 
@@ -62,6 +63,26 @@ class TestDiskCache:
         second = BenchmarkMatrix(scale="ci", config=other_config, repeats=1,
                                  cache_dir=tmp_path)
         second.cell("linear", "pemsd8")
+        files_after = set(tmp_path.glob("*.json"))
+        assert len(files_after) == len(files_before) + 1
+
+    def test_source_change_invalidates(self, tmp_path, monkeypatch):
+        BenchmarkMatrix(scale="ci", config=FAST, repeats=1,
+                        cache_dir=tmp_path).cell("linear", "pemsd8")
+        files_before = set(tmp_path.glob("*.json"))
+
+        def no_training(self, model, dataset):
+            raise AssertionError("a cached cell was retrained")
+
+        with monkeypatch.context() as patch:      # same sources: a hit
+            patch.setattr(BenchmarkMatrix, "_train_cell", no_training)
+            BenchmarkMatrix(scale="ci", config=FAST, repeats=1,
+                            cache_dir=tmp_path).cell("linear", "pemsd8")
+
+        monkeypatch.setattr(matrix_module, "_source_digest",
+                            lambda: "0" * 64)     # edited sources: a miss
+        BenchmarkMatrix(scale="ci", config=FAST, repeats=1,
+                        cache_dir=tmp_path).cell("linear", "pemsd8")
         files_after = set(tmp_path.glob("*.json"))
         assert len(files_after) == len(files_before) + 1
 

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.datasets import load_dataset, load_saved_dataset, save_dataset
+from repro.datasets import load_dataset, save_dataset
+from repro.datasets.io import load_archive
+
+
+def reload(path):
+    """The world the dataset cache rebuilds from an archive."""
+    return load_archive(path)[1]
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +27,7 @@ class TestRoundTrip:
 
     def test_simulation_arrays_identical(self, saved):
         path, original = saved
-        loaded = load_saved_dataset(path)
+        loaded = reload(path)
         np.testing.assert_array_equal(loaded.simulation.speed,
                                       original.simulation.speed)
         np.testing.assert_array_equal(loaded.simulation.flow,
@@ -31,7 +37,7 @@ class TestRoundTrip:
 
     def test_graph_identical(self, saved):
         path, original = saved
-        loaded = load_saved_dataset(path)
+        loaded = reload(path)
         assert (set(loaded.network.graph.edges)
                 == set(original.network.graph.edges))
         np.testing.assert_array_equal(loaded.adjacency, original.adjacency)
@@ -40,13 +46,13 @@ class TestRoundTrip:
 
     def test_spec_preserved(self, saved):
         path, original = saved
-        loaded = load_saved_dataset(path)
+        loaded = reload(path)
         assert loaded.spec == original.spec
         assert loaded.scale == original.scale
 
     def test_supervised_windows_rebuilt_identically(self, saved):
         path, original = saved
-        loaded = load_saved_dataset(path)
+        loaded = reload(path)
         np.testing.assert_allclose(loaded.supervised.train.x,
                                    original.supervised.train.x)
         np.testing.assert_allclose(loaded.supervised.test.y,
@@ -54,20 +60,20 @@ class TestRoundTrip:
 
     def test_incident_log_preserved(self, saved):
         path, original = saved
-        loaded = load_saved_dataset(path)
+        loaded = reload(path)
         assert (len(loaded.simulation.incident_log)
                 == len(original.simulation.incident_log))
 
     def test_flow_dataset_roundtrip(self, tmp_path, ci_flow_dataset):
         path = tmp_path / "flow.npz"
         save_dataset(ci_flow_dataset, path)
-        loaded = load_saved_dataset(path)
+        loaded = reload(path)
         assert loaded.spec.task == "flow"
         np.testing.assert_allclose(loaded.values, ci_flow_dataset.values)
 
     def test_missing_mask_exact(self, saved):
         path, original = saved
-        loaded = load_saved_dataset(path)
+        loaded = reload(path)
         assert loaded.simulation.missing_mask.dtype == \
             original.simulation.missing_mask.dtype
         np.testing.assert_array_equal(loaded.simulation.missing_mask,
@@ -76,7 +82,7 @@ class TestRoundTrip:
 
     def test_day_of_week_exact(self, saved):
         path, original = saved
-        loaded = load_saved_dataset(path)
+        loaded = reload(path)
         np.testing.assert_array_equal(loaded.simulation.day_of_week,
                                       original.simulation.day_of_week)
         np.testing.assert_array_equal(loaded.simulation.time_of_day,
@@ -86,7 +92,7 @@ class TestRoundTrip:
 
     def test_incident_log_entries_exact(self, saved):
         path, original = saved
-        loaded = load_saved_dataset(path)
+        loaded = reload(path)
         assert loaded.simulation.incident_log == \
             original.simulation.incident_log
 
@@ -98,7 +104,7 @@ class TestRoundTrip:
             window=WindowConfig(include_day_of_week=True))
         path = tmp_path / "dow.npz"
         save_dataset(original, path)
-        loaded = load_saved_dataset(path)
+        loaded = reload(path)
         assert loaded.supervised.train.num_features == 3
         idx = np.arange(3)
         x_orig, y_orig, _ = original.supervised.train.batch(idx)

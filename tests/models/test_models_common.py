@@ -14,10 +14,16 @@ TRAINABLE = [name for name in ALL_MODELS
 
 @pytest.fixture(scope="module")
 def setup(ci_dataset):
-    x = Tensor(ci_dataset.supervised.train.x[:3])
-    y_scaled = Tensor(ci_dataset.supervised.scaler.transform(
-        ci_dataset.supervised.train.y[:3]))
+    x = ci_dataset.supervised.train.x[:3]
+    y_scaled = ci_dataset.supervised.scaler.transform(
+        ci_dataset.supervised.train.y[:3])
     return ci_dataset, x, y_scaled
+
+
+def as_inputs(model, *arrays):
+    """The arrays as tensors in the model's dtype, as the Engine feeds
+    a batch."""
+    return [Tensor(a, dtype=model.dtype) for a in arrays]
 
 
 class TestRegistry:
@@ -62,6 +68,7 @@ class TestConstruction:
         ds, x, _ = setup
         a = create_model(name, ds.num_nodes, ds.adjacency, seed=7)
         b = create_model(name, ds.num_nodes, ds.adjacency, seed=7)
+        x, = as_inputs(a, x)
         with no_grad():
             a.eval(), b.eval()
             np.testing.assert_array_equal(a(x).data, b(x).data)
@@ -71,6 +78,7 @@ class TestConstruction:
         ds, x, _ = setup
         a = create_model(name, ds.num_nodes, ds.adjacency, seed=1)
         b = create_model(name, ds.num_nodes, ds.adjacency, seed=2)
+        x, = as_inputs(a, x)
         with no_grad():
             a.eval(), b.eval()
             assert not np.array_equal(a(x).data, b(x).data)
@@ -83,7 +91,7 @@ class TestForwardContract:
         model = create_model(name, ds.num_nodes, ds.adjacency, seed=0)
         with no_grad():
             model.eval()
-            out = model(x)
+            out = model(*as_inputs(model, x))
         assert out.shape == (3, 12, ds.num_nodes)
 
     @pytest.mark.parametrize("name", ALL_MODELS)
@@ -92,7 +100,7 @@ class TestForwardContract:
         model = create_model(name, ds.num_nodes, ds.adjacency, seed=0)
         with no_grad():
             model.eval()
-            assert np.isfinite(model(x).data).all()
+            assert np.isfinite(model(*as_inputs(model, x)).data).all()
 
     @pytest.mark.parametrize("name", ALL_MODELS)
     def test_input_validation(self, name, setup):
@@ -111,7 +119,7 @@ class TestTrainingContract:
     def test_all_parameters_receive_gradients(self, name, setup):
         ds, x, y_scaled = setup
         model = create_model(name, ds.num_nodes, ds.adjacency, seed=0)
-        loss = model.training_loss(x, y_scaled)
+        loss = model.training_loss(*as_inputs(model, x, y_scaled))
         loss.backward()
         missing = [pname for pname, p in model.named_parameters()
                    if p.grad is None]
@@ -121,7 +129,7 @@ class TestTrainingContract:
     def test_loss_is_finite_scalar(self, name, setup):
         ds, x, y_scaled = setup
         model = create_model(name, ds.num_nodes, ds.adjacency, seed=0)
-        loss = model.training_loss(x, y_scaled)
+        loss = model.training_loss(*as_inputs(model, x, y_scaled))
         assert loss.shape == ()
         assert np.isfinite(loss.item())
 
@@ -135,6 +143,7 @@ class TestTrainingContract:
                    if name in ("dcrnn", "st-metanet") else {})
         model = create_model(name, ds.num_nodes, ds.adjacency, seed=0,
                              **hparams)
+        x, y_scaled = as_inputs(model, x, y_scaled)
         loss_before = model.training_loss(x, y_scaled)
         loss_before.backward()
         for param in model.parameters():      # plain SGD, lr 1e-3
@@ -158,6 +167,7 @@ class TestStatePersistence:
         model = create_model(name, ds.num_nodes, ds.adjacency, seed=0)
         clone = create_model(name, ds.num_nodes, ds.adjacency, seed=99)
         clone.load_state_dict(model.state_dict())
+        x, = as_inputs(model, x)
         with no_grad():
             model.eval(), clone.eval()
             np.testing.assert_allclose(model(x).data, clone(x).data,

@@ -41,7 +41,8 @@ def test_training_tape_within_budget(name, ci_dataset):
     model = create_model(name, ci_dataset.num_nodes, ci_dataset.adjacency,
                          in_features=split.train.num_features, seed=0)
     with profile() as report:
-        model.training_loss(Tensor(x), Tensor(y))
+        model.training_loss(Tensor(x, dtype=model.dtype),
+                            Tensor(y, dtype=model.dtype))
     nodes, elements = BUDGET[name]
     assert report.total_nodes <= nodes, report.render()
     assert report.total_elements <= elements, report.render()

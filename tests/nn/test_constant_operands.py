@@ -104,8 +104,9 @@ def test_model_gradients_do_not_depend_on_input_requiring_grad(
         model = create_model(name, ci_dataset.num_nodes,
                              ci_dataset.adjacency,
                              in_features=train.num_features, seed=0)
-        loss = model.training_loss(Tensor(x, requires_grad=x_requires_grad),
-                                   Tensor(y))
+        loss = model.training_loss(
+            Tensor(x, requires_grad=x_requires_grad, dtype=model.dtype),
+            Tensor(y, dtype=model.dtype))
         loss.backward()
         return [p.grad for p in model.parameters()]
 

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -93,9 +94,9 @@ class TestCommands:
         path = tmp_path / "world.npz"
         assert main(["simulate", "pemsd8", str(path)]) == 0
         assert path.exists()
-        from repro.datasets import load_saved_dataset
-        loaded = load_saved_dataset(path)
-        assert loaded.spec.name == "pemsd8"
+        with np.load(path) as archive:
+            meta = json.loads(bytes(archive["meta"]).decode())
+        assert meta["spec"]["name"] == "pemsd8"
 
 
 class TestTraceCommands:

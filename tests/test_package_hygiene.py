@@ -5,8 +5,11 @@ the public module tree."""
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -96,6 +99,57 @@ class TestReferenceOracleIsolation:
     def test_module_does_not_import_oracle(self, module_name):
         assert self.ORACLE not in _imports(module_name), (
             f"{module_name} imports {self.ORACLE}; only repro.bench.* may")
+
+
+#: A training process in a fresh interpreter: import, cold-build a world,
+#: fit two batches and predict, then check that scipy was never loaded,
+#: and that the statistics functions still load it and agree with it.
+LEAN_TRAINING_PROCESS = """
+import sys
+
+import numpy as np
+
+import repro
+import repro.cli
+from repro.core import RankTable, TrainingConfig, predict
+from repro.datasets import load_dataset
+from repro.models import create_model
+from repro.train import Engine
+
+data = load_dataset("metr-la", scale="ci", cache=False)
+split = data.supervised
+model = create_model("stgcn", data.num_nodes, data.adjacency,
+                     in_features=split.train.num_features, seed=0)
+Engine(TrainingConfig(epochs=1, max_batches_per_epoch=2)).fit(model, data)
+predict(model, split.test, split.scaler)
+loaded = sorted(name for name in sys.modules
+                if name == "scipy" or name.startswith("scipy."))
+assert not loaded, f"{len(loaded)} scipy modules loaded: {loaded[:5]}"
+
+from scipy import stats
+from repro.core import friedman_test, welch_test
+
+a, b = [1.0, 2.0, 4.0, 4.5], [2.5, 3.5, 6.0, 7.0, 9.0]
+expected = stats.ttest_ind(a, b, equal_var=False)
+assert welch_test(a, b) == (float(expected[0]), float(expected[1]))
+ranks = np.array([[1.0, 2.0, 3.0], [1.0, 3.0, 2.0], [2.0, 1.0, 3.0]])
+table = RankTable(models=["x", "y", "z"], datasets=["p", "q", "r"],
+                  ranks=ranks)
+expected = stats.friedmanchisquare(*ranks.T)
+assert friedman_test(table) == (float(expected[0]), float(expected[1]))
+"""
+
+
+def test_training_process_never_loads_scipy(tmp_path):
+    """scipy is imported only inside the statistics functions that use
+    it, so ``import repro`` and a whole training run stay lean."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", LEAN_TRAINING_PROCESS],
+                            cwd=tmp_path, env=env, capture_output=True,
+                            text=True, timeout=600)
+    assert result.returncode == 0, result.stderr
 
 
 #: Directories whose code counts as a caller; tests do not.
@@ -189,8 +243,6 @@ class TestNoTestOnlyNames:
         "heap":
             "imported by repro.nn for its side effect, the glibc heap "
             "policy",
-        "load_saved_dataset":
-            "reader of the .npz files save_dataset writes (docs/api.md)",
         "CheckpointCallback":
             "documented resumable-training callback (docs/training.md)",
     }
