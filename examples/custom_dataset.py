@@ -37,7 +37,7 @@ def main() -> None:
     network = build_network(args.nodes, topology=args.topology, seed=7)
     adjacency = gaussian_adjacency(network)
     print(f"Built a {args.topology} network: {network.num_nodes} sensors, "
-          f"{network.graph.number_of_edges()} directed edges")
+          f"{network.num_edges} directed edges")
 
     # 2. A traffic world with your own dynamics.
     sim_config = SimulationConfig(num_days=args.days,

@@ -7,9 +7,10 @@ Table III benchmark.  This module keys a built world by a hash of
 everything that determines it — the :class:`~repro.datasets.DatasetSpec`,
 the derived :class:`~repro.datasets.SimulationConfig`, the
 :class:`~repro.datasets.WindowConfig`, the seed offset, the scale preset,
-and a format version — and round-trips it through the existing ``.npz``
-persistence (:mod:`repro.datasets.io`), so a second ``load_dataset`` of
-the same spec/seed is one archive read instead of a full simulation.
+a format version, and a digest of the world-building sources — and
+round-trips it through the existing ``.npz`` persistence
+(:mod:`repro.datasets.io`), so a second ``load_dataset`` of the same
+spec/seed is one archive read instead of a full simulation.
 
 Layout and knobs
 ----------------
@@ -21,14 +22,18 @@ per world), overridable with ``REPRO_CACHE_DIR``; set
 Invalidation
 ------------
 The key covers every input that shapes the world, so changing a spec,
-window, seed, or scale creates a new entry.  Changes to the *simulator
-code itself* are invisible to the hash — bump
-:data:`CACHE_FORMAT_VERSION` when the generated worlds change, or wipe
-with ``python -m repro cache clear``.  See ``docs/data.md``.
+window, seed, or scale creates a new entry.  It also covers a sha256 of
+the modules that build a world and write its archive (road network,
+adjacency, simulator, fundamental diagram, catalog, archive I/O), so
+editing any of them invalidates every entry.  Bump
+:data:`CACHE_FORMAT_VERSION` when code outside those modules changes the
+worlds, or wipe with ``python -m repro cache clear``.  See
+``docs/data.md``.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -41,9 +46,15 @@ from pathlib import Path
 __all__ = ["CACHE_FORMAT_VERSION", "CacheEntry", "DatasetCache",
            "cache_enabled", "default_cache_dir", "dataset_cache_key"]
 
-#: Bump when the simulator or the saved-archive layout changes in a way
-#: that makes previously cached worlds stale.
+#: Bump when code outside :data:`_WORLD_SOURCES` changes in a way that
+#: makes previously cached worlds stale.
 CACHE_FORMAT_VERSION = 1
+
+#: The modules, relative to the ``repro`` package, that decide a built
+#: world or its archive layout; their digest is part of every key.
+_WORLD_SOURCES = ("graph/road_network.py", "graph/adjacency.py",
+                 "datasets/generator.py", "datasets/fundamental.py",
+                 "datasets/catalog.py", "datasets/io.py")
 
 _DISABLED_VALUES = {"0", "off", "false", "no"}
 _KEY_LENGTH = 16
@@ -63,16 +74,30 @@ def default_cache_dir() -> Path:
     return Path("~/.cache/repro").expanduser()
 
 
+@functools.cache
+def _source_digest() -> str:
+    """sha256 of the :data:`_WORLD_SOURCES`, read once per process: an
+    entry built by other code is stale."""
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for name in _WORLD_SOURCES:
+        digest.update(name.encode())
+        digest.update((root / name).read_bytes())
+    return digest.hexdigest()
+
+
 def dataset_cache_key(spec, sim_config, window, seed_offset: int,
                       scale: str) -> str:
     """Content hash of everything that determines a built world.
 
     Hashes the JSON of the dataclass fields (sorted keys) plus the scale
-    preset, seed offset, and :data:`CACHE_FORMAT_VERSION`; 16 hex chars,
+    preset, seed offset, :data:`CACHE_FORMAT_VERSION` and the digest of
+    the :data:`_WORLD_SOURCES`; 16 hex chars,
     matching the :class:`~repro.core.BenchmarkMatrix` fingerprint width.
     """
     payload = json.dumps({
         "format": CACHE_FORMAT_VERSION,
+        "code": _source_digest(),
         "spec": asdict(spec),
         "sim": asdict(sim_config),
         "window": asdict(window),

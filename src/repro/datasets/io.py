@@ -44,8 +44,8 @@ def save_dataset(dataset: LoadedDataset, path: str | Path, *,
     """
     path = Path(path)
     network = dataset.network
-    edges = np.array([(src, dst, attrs["distance"])
-                      for src, dst, attrs in network.graph.edges(data=True)])
+    edges = np.column_stack([network.sources, network.targets,
+                             network.distances])
     sim = dataset.simulation
     meta = {
         "spec": asdict(dataset.spec),
@@ -59,7 +59,6 @@ def save_dataset(dataset: LoadedDataset, path: str | Path, *,
         path,
         meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
         edges=edges,
-        positions=network.positions,
         free_flow_speed=network.free_flow_speed,
         capacity=network.capacity,
         adjacency=dataset.adjacency,
@@ -76,13 +75,10 @@ def save_dataset(dataset: LoadedDataset, path: str | Path, *,
 def load_archive(path: str | Path) -> tuple[dict, LoadedDataset]:
     """The JSON metadata and the rebuilt dataset of an archive written by
     :func:`save_dataset`, from one read."""
-    import networkx as nx
-
     path = Path(path)
     with np.load(path) as payload:
         meta = json.loads(bytes(payload["meta"]).decode())
         edges = payload["edges"]
-        positions = payload["positions"]
         free_flow = payload["free_flow_speed"]
         capacity = payload["capacity"]
         adjacency = payload["adjacency"]
@@ -96,11 +92,9 @@ def load_archive(path: str | Path) -> tuple[dict, LoadedDataset]:
             missing_mask=payload["missing_mask"],
             incident_log=[tuple(entry) for entry in meta["incident_log"]])
 
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(len(positions)))
-    for src, dst, distance in edges:
-        graph.add_edge(int(src), int(dst), distance=float(distance))
-    network = RoadNetwork(graph=graph, positions=positions,
+    network = RoadNetwork(sources=edges[:, 0].astype(np.int64),
+                          targets=edges[:, 1].astype(np.int64),
+                          distances=edges[:, 2].copy(),
                           free_flow_speed=free_flow, capacity=capacity)
 
     spec = DatasetSpec(**meta["spec"])

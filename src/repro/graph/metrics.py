@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .road_network import RoadNetwork
@@ -42,18 +41,17 @@ class NetworkStats:
 
 def network_stats(network: RoadNetwork) -> NetworkStats:
     """Compute structural statistics of a road network."""
-    graph = network.graph
-    out_degrees = [d for _, d in graph.out_degree()]
-    edge_lengths = [attrs["distance"]
-                    for _, _, attrs in graph.edges(data=True)]
+    out_degrees = np.bincount(network.sources, minlength=network.num_nodes)
     dist = network.distance_matrix()
     finite = dist[np.isfinite(dist) & (dist > 0)]
     return NetworkStats(
         num_nodes=network.num_nodes,
-        num_edges=graph.number_of_edges(),
+        num_edges=network.num_edges,
         mean_out_degree=float(np.mean(out_degrees)),
         max_out_degree=int(np.max(out_degrees)),
-        mean_edge_km=float(np.mean(edge_lengths)) if edge_lengths else 0.0,
+        mean_edge_km=(float(np.mean(network.distances))
+                      if network.num_edges else 0.0),
         diameter_km=float(finite.max()) if finite.size else 0.0,
-        strongly_connected=nx.is_strongly_connected(graph),
+        # Strongly connected: every sensor reaches every other one.
+        strongly_connected=bool(np.isfinite(dist).all()),
         mean_shortest_path_km=float(finite.mean()) if finite.size else 0.0)

@@ -6,16 +6,26 @@ the same structural character: long directed corridors (freeways), grid
 interchanges (urban meshes), and radial hubs (downtown funnels).  Sensors
 sit on edges of the physical road; distances between sensors drive the
 Gaussian-kernel adjacency exactly as in the paper (Sec. IV-B).
+
+A network is plain edge arrays, in the order a ``DiGraph`` lists its
+edges: grouped by source, first-added order within a source.  The graph
+tests check that order, the shortest distances and the weak-connectivity
+repair against a ``DiGraph`` oracle, bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 __all__ = ["RoadNetwork", "build_network"]
+
+#: Directed edges ``(source, target) -> distance (km)`` while a topology is
+#: built.  A dict keeps a repeated edge at its first position and takes its
+#: later distance, as ``DiGraph.add_edge`` does.
+Edges = dict[tuple[int, int], float]
 
 
 @dataclass
@@ -24,12 +34,12 @@ class RoadNetwork:
 
     Attributes
     ----------
-    graph:
-        Directed networkx graph; nodes are sensor ids ``0..N-1`` and edge
-        attribute ``distance`` is the driving distance (km) between sensors.
-    positions:
-        ``(N, 2)`` planar sensor coordinates (km), used for visualisation
-        and for deriving distances.
+    sources, targets:
+        ``(E,)`` int64 sensor ids ``0..N-1`` of each directed edge.  Edges
+        are grouped by source in ascending order, and a source's edges keep
+        the order in which they were first added.
+    distances:
+        ``(E,)`` driving distance (km) along each edge.
     free_flow_speed:
         ``(N,)`` per-sensor free-flow speed (mph), heterogeneous across the
         network like real freeway segments.
@@ -38,55 +48,85 @@ class RoadNetwork:
         diagram used by flow datasets.
     """
 
-    graph: nx.DiGraph
-    positions: np.ndarray
+    sources: np.ndarray
+    targets: np.ndarray
+    distances: np.ndarray
     free_flow_speed: np.ndarray
     capacity: np.ndarray
 
     @property
     def num_nodes(self) -> int:
-        return self.graph.number_of_nodes()
+        return len(self.free_flow_speed)
+
+    @property
+    def num_edges(self) -> int:
+        return len(self.sources)
 
     def distance_matrix(self) -> np.ndarray:
-        """All-pairs shortest driving distance (km); inf when unreachable."""
+        """All-pairs shortest driving distance (km); inf when unreachable.
+
+        One Dijkstra per source.  A distance is the least ``d(u) + w`` sum
+        over the edges into a sensor, so it does not depend on the order
+        the search settles ties in.
+        """
         n = self.num_nodes
-        dist = np.full((n, n), np.inf)
-        np.fill_diagonal(dist, 0.0)
-        lengths = dict(nx.all_pairs_dijkstra_path_length(self.graph, weight="distance"))
-        for src, targets in lengths.items():
-            for dst, d in targets.items():
-                dist[src, dst] = d
+        successors: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+        for src, dst, km in zip(self.sources.tolist(), self.targets.tolist(),
+                                self.distances.tolist()):
+            successors[src].append((dst, km))
+        dist = np.empty((n, n))
+        for source in range(n):
+            dist[source] = _dijkstra(successors, source)
         return dist
 
     def downstream_hops(self) -> dict[int, list[int]]:
         """Successors of every node — used by congestion-wave propagation."""
-        return {node: list(self.graph.successors(node)) for node in self.graph.nodes}
+        hops: dict[int, list[int]] = {n: [] for n in range(self.num_nodes)}
+        for src, dst in zip(self.sources.tolist(), self.targets.tolist()):
+            hops[src].append(dst)
+        return hops
 
 
-def _corridor(num_nodes: int, rng: np.random.Generator, spacing_km: float) -> nx.DiGraph:
+def _dijkstra(successors: list[list[tuple[int, float]]],
+              source: int) -> list[float]:
+    """Shortest distances from ``source`` to every node (inf if unreached)."""
+    best = [np.inf] * len(successors)
+    best[source] = 0.0
+    settled = [False] * len(successors)
+    fringe = [(0.0, source)]
+    while fringe:
+        d, node = heapq.heappop(fringe)
+        if settled[node]:
+            continue
+        settled[node] = True
+        for nxt, km in successors[node]:
+            through = d + km
+            if through < best[nxt]:
+                best[nxt] = through
+                heapq.heappush(fringe, (through, nxt))
+    return best
+
+
+def _corridor(num_nodes: int, rng: np.random.Generator, spacing_km: float) -> Edges:
     """A two-direction freeway corridor: nodes alternate directions."""
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(num_nodes))
+    edges: Edges = {}
     half = num_nodes // 2
     for i in range(half - 1):  # eastbound chain
-        d = spacing_km * (0.7 + 0.6 * rng.random())
-        graph.add_edge(i, i + 1, distance=d)
+        edges[i, i + 1] = spacing_km * (0.7 + 0.6 * rng.random())
     for i in range(half, num_nodes - 1):  # westbound chain
-        d = spacing_km * (0.7 + 0.6 * rng.random())
-        graph.add_edge(i + 1, i, distance=d)
+        edges[i + 1, i] = spacing_km * (0.7 + 0.6 * rng.random())
     # on/off ramps connecting the two directions sporadically
     for i in range(0, half - 1, max(2, half // 4)):
         j = min(num_nodes - 1, half + i)
-        graph.add_edge(i, j, distance=spacing_km * 1.5)
-        graph.add_edge(j, i, distance=spacing_km * 1.5)
-    return graph
+        edges[i, j] = spacing_km * 1.5
+        edges[j, i] = spacing_km * 1.5
+    return edges
 
 
-def _grid(num_nodes: int, rng: np.random.Generator, spacing_km: float) -> nx.DiGraph:
+def _grid(num_nodes: int, rng: np.random.Generator, spacing_km: float) -> Edges:
     """An urban mesh: approximately square grid with directed arterials."""
     side = max(2, int(np.ceil(np.sqrt(num_nodes))))
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(num_nodes))
+    edges: Edges = {}
 
     def nid(r: int, c: int) -> int:
         return r * side + c
@@ -101,17 +141,16 @@ def _grid(num_nodes: int, rng: np.random.Generator, spacing_km: float) -> nx.DiG
                 neighbor = nid(nr, nc)
                 if nr < side and nc < side and neighbor < num_nodes:
                     d = spacing_km * (0.7 + 0.6 * rng.random())
-                    graph.add_edge(here, neighbor, distance=d)
+                    edges[here, neighbor] = d
                     # Most grid streets are two-way; some are one-way pairs.
                     if rng.random() < 0.8:
-                        graph.add_edge(neighbor, here, distance=d)
-    return graph
+                        edges[neighbor, here] = d
+    return edges
 
 
-def _radial(num_nodes: int, rng: np.random.Generator, spacing_km: float) -> nx.DiGraph:
+def _radial(num_nodes: int, rng: np.random.Generator, spacing_km: float) -> Edges:
     """Radial hub: spokes feeding a centre, plus a ring road."""
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(num_nodes))
+    edges: Edges = {}
     num_spokes = max(3, num_nodes // 6)
     per_spoke = max(1, (num_nodes - 1) // num_spokes)
     node = 1
@@ -122,8 +161,8 @@ def _radial(num_nodes: int, rng: np.random.Generator, spacing_km: float) -> nx.D
             if node >= num_nodes:
                 break
             d = spacing_km * (0.7 + 0.6 * rng.random())
-            graph.add_edge(node, previous, distance=d)   # inbound
-            graph.add_edge(previous, node, distance=d)   # outbound
+            edges[node, previous] = d   # inbound
+            edges[previous, node] = d   # outbound
             if depth == per_spoke - 1:
                 ring.append(node)
             previous = node
@@ -131,12 +170,48 @@ def _radial(num_nodes: int, rng: np.random.Generator, spacing_km: float) -> nx.D
     for a, b in zip(ring, ring[1:] + ring[:1]):
         if a != b:
             d = spacing_km * (1.0 + rng.random())
-            graph.add_edge(a, b, distance=d)
-            graph.add_edge(b, a, distance=d)
-    return graph
+            edges[a, b] = d
+            edges[b, a] = d
+    return edges
 
 
 _TOPOLOGIES = {"corridor": _corridor, "grid": _grid, "radial": _radial}
+
+
+def _by_source(edges: Edges) -> list[tuple[int, int]]:
+    """Edge keys grouped by source, first-added order within a source."""
+    return sorted(edges, key=lambda edge: edge[0])
+
+
+def _weak_components(num_nodes: int, edges: Edges) -> list[set[int]]:
+    """Weakly connected components, in order of their lowest node.
+
+    Each component is a set filled in breadth-first discovery order over
+    the undirected neighbours, so iterating it yields the same first node
+    as the sets ``connected_components`` yields for the ``DiGraph`` oracle.
+    """
+    neighbours: list[dict[int, None]] = [{} for _ in range(num_nodes)]
+    for src, dst in _by_source(edges):
+        neighbours[src][dst] = None
+        neighbours[dst][src] = None
+    components: list[set[int]] = []
+    placed: set[int] = set()
+    for start in range(num_nodes):
+        if start in placed:
+            continue
+        component = {start}
+        level = [start]
+        while level:
+            following = []
+            for node in level:
+                for other in neighbours[node]:
+                    if other not in component:
+                        component.add(other)
+                        following.append(other)
+            level = following
+        placed.update(component)
+        components.append(component)
+    return components
 
 
 def build_network(num_nodes: int, topology: str = "corridor", seed: int = 0,
@@ -148,8 +223,8 @@ def build_network(num_nodes: int, topology: str = "corridor", seed: int = 0,
     Parameters
     ----------
     num_nodes:
-        Number of sensors (the paper's datasets range 170–883; scaled
-        presets use 12–32).
+        Number of sensors (the paper's datasets range 170–883; the
+        ``ci`` and ``bench`` presets use 8–58).
     topology:
         ``corridor`` (freeway, METR-LA-like), ``grid`` (urban mesh,
         PeMS-BAY-like) or ``radial`` (hub-and-spoke).
@@ -162,24 +237,24 @@ def build_network(num_nodes: int, topology: str = "corridor", seed: int = 0,
         raise ValueError(
             f"unknown topology {topology!r}; choose from {sorted(_TOPOLOGIES)}")
     rng = np.random.default_rng(seed)
-    graph = _TOPOLOGIES[topology](num_nodes, rng, spacing_km)
+    edges = _TOPOLOGIES[topology](num_nodes, rng, spacing_km)
 
     # Ensure weak connectivity so every sensor correlates with some neighbour.
-    undirected = graph.to_undirected()
-    components = list(nx.connected_components(undirected))
+    components = _weak_components(num_nodes, edges)
     for comp_a, comp_b in zip(components, components[1:]):
         a = next(iter(comp_a))
         b = next(iter(comp_b))
-        graph.add_edge(a, b, distance=spacing_km * 2.0)
-        graph.add_edge(b, a, distance=spacing_km * 2.0)
+        edges[a, b] = spacing_km * 2.0
+        edges[b, a] = spacing_km * 2.0
 
-    positions = _layout_positions(graph, rng)
+    # This draw once seeded a layout of sensor positions that nothing read;
+    # it stays so the speeds and capacities below keep their values.
+    rng.integers(1 << 31)
     free_flow = rng.uniform(*free_flow_mph, size=num_nodes)
     capacity = rng.uniform(*capacity_veh, size=num_nodes)
-    return RoadNetwork(graph=graph, positions=positions,
-                       free_flow_speed=free_flow, capacity=capacity)
-
-
-def _layout_positions(graph: nx.DiGraph, rng: np.random.Generator) -> np.ndarray:
-    layout = nx.spring_layout(graph.to_undirected(), seed=int(rng.integers(1 << 31)))
-    return np.array([layout[node] for node in sorted(graph.nodes)]) * 10.0
+    keys = _by_source(edges)
+    return RoadNetwork(
+        sources=np.array([src for src, _ in keys], dtype=np.int64),
+        targets=np.array([dst for _, dst in keys], dtype=np.int64),
+        distances=np.array([edges[key] for key in keys]),
+        free_flow_speed=free_flow, capacity=capacity)

@@ -25,6 +25,20 @@ def _hermetic_cache(tmp_path_factory):
         os.environ["REPRO_CACHE_DIR"] = previous
 
 
+def digraph(network):
+    """The networkx ``DiGraph`` of a network's edge arrays, added in array
+    order: the oracle the graph tests check :class:`RoadNetwork` against."""
+    import networkx as nx
+
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(network.num_nodes))
+    for src, dst, km in zip(network.sources.tolist(),
+                            network.targets.tolist(),
+                            network.distances.tolist()):
+        graph.add_edge(src, dst, distance=km)
+    return graph
+
+
 def numerical_gradient(func, array: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of scalar ``func()`` w.r.t. ``array``.
 

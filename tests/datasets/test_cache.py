@@ -292,6 +292,23 @@ class TestFaultInjection:
             load_dataset("metr-la", scale="ci")
         assert loads(sink)[2:] == ["build", "miss"]
 
+    def test_source_change_is_a_miss(self, cache_dir, monkeypatch):
+        """Entries built by other world-building code are never served:
+        a new source digest misses and writes an entry of its own."""
+        import repro.datasets.cache as cache_module
+
+        load_dataset("metr-la", scale="ci")
+        (old,) = DatasetCache().entries()
+        monkeypatch.setattr(cache_module, "_source_digest", lambda: "edited")
+        sink = MemorySink()
+        with bus_scope(EventBus([sink])):
+            load_dataset("metr-la", scale="ci")
+            load_dataset("metr-la", scale="ci")
+        assert loads(sink) == ["build", "miss", "hit"]
+        (new,) = [e for e in DatasetCache().entries() if e.key != old.key]
+        assert old.path.exists()
+        assert load_spans(sink)[0].attrs["key"] == new.key
+
     def test_racing_writers_leave_one_valid_entry(self, cache_dir):
         import sys
         import threading

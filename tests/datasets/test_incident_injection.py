@@ -37,8 +37,9 @@ class TestInjection:
         base = TrafficSimulator(network, config, seed=3).run()
         injected = TrafficSimulator(network, config, seed=3).run(
             extra_incidents=[(300, 2, 0.7, 18)])
-        upstream = [node for node in network.graph.nodes
-                    if 2 in network.graph.successors(node) and node != 2]
+        upstream = [src for src, dst in zip(network.sources.tolist(),
+                                            network.targets.tolist())
+                    if dst == 2 and src != 2]
         if not upstream:
             pytest.skip("node 2 has no upstream feeder in this world")
         affected = np.abs(base.speed[300:330, upstream[0]]

@@ -6,6 +6,8 @@ import pytest
 from repro.datasets import load_dataset, save_dataset
 from repro.datasets.io import load_archive
 
+from ..conftest import digraph
+
 
 def reload(path):
     """The world the dataset cache rebuilds from an archive."""
@@ -38,8 +40,11 @@ class TestRoundTrip:
     def test_graph_identical(self, saved):
         path, original = saved
         loaded = reload(path)
-        assert (set(loaded.network.graph.edges)
-                == set(original.network.graph.edges))
+        assert (set(digraph(loaded.network).edges)
+                == set(digraph(original.network).edges))
+        for name in ("sources", "targets", "distances"):
+            np.testing.assert_array_equal(getattr(loaded.network, name),
+                                          getattr(original.network, name))
         np.testing.assert_array_equal(loaded.adjacency, original.adjacency)
         np.testing.assert_allclose(loaded.network.free_flow_speed,
                                    original.network.free_flow_speed)

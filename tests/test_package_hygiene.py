@@ -101,9 +101,10 @@ class TestReferenceOracleIsolation:
             f"{module_name} imports {self.ORACLE}; only repro.bench.* may")
 
 
-#: A training process in a fresh interpreter: import, cold-build a world,
-#: fit two batches and predict, then check that scipy was never loaded,
-#: and that the statistics functions still load it and agree with it.
+#: A training process in a fresh interpreter: import, cold-build a world
+#: into an empty cache, reload it from there, fit two batches and predict,
+#: then check that neither scipy nor networkx was ever loaded, and that the
+#: statistics functions still load scipy and agree with it.
 LEAN_TRAINING_PROCESS = """
 import sys
 
@@ -114,17 +115,26 @@ import repro.cli
 from repro.core import RankTable, TrainingConfig, predict
 from repro.datasets import load_dataset
 from repro.models import create_model
+from repro.obs import EventBus, MemorySink, bus_scope
 from repro.train import Engine
 
-data = load_dataset("metr-la", scale="ci", cache=False)
+sink = MemorySink()
+with bus_scope(EventBus([sink])):
+    built = load_dataset("metr-la", scale="ci", cache=True)
+    data = load_dataset("metr-la", scale="ci", cache=True)
+outcomes = [e.attrs["cache"] for e in sink.of_kind("span")
+            if e.label == "data/load"]
+assert outcomes == ["miss", "hit"], outcomes
+assert np.array_equal(data.adjacency, built.adjacency)
 split = data.supervised
 model = create_model("stgcn", data.num_nodes, data.adjacency,
                      in_features=split.train.num_features, seed=0)
 Engine(TrainingConfig(epochs=1, max_batches_per_epoch=2)).fit(model, data)
 predict(model, split.test, split.scaler)
-loaded = sorted(name for name in sys.modules
-                if name == "scipy" or name.startswith("scipy."))
-assert not loaded, f"{len(loaded)} scipy modules loaded: {loaded[:5]}"
+for package in ("scipy", "networkx"):
+    loaded = sorted(name for name in sys.modules
+                    if name == package or name.startswith(package + "."))
+    assert not loaded, f"{len(loaded)} {package} modules loaded: {loaded[:5]}"
 
 from scipy import stats
 from repro.core import friedman_test, welch_test
@@ -142,10 +152,12 @@ assert friedman_test(table) == (float(expected[0]), float(expected[1]))
 
 def test_training_process_never_loads_scipy(tmp_path):
     """scipy is imported only inside the statistics functions that use
-    it, so ``import repro`` and a whole training run stay lean."""
+    it, and networkx only by the tests, so ``import repro``, a cold world
+    build, a cache reload and a whole training run stay lean."""
     src = str(Path(repro.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+        filter(None, [src, os.environ.get("PYTHONPATH")])),
+        REPRO_CACHE_DIR=str(tmp_path / "cache"))
     result = subprocess.run([sys.executable, "-c", LEAN_TRAINING_PROCESS],
                             cwd=tmp_path, env=env, capture_output=True,
                             text=True, timeout=600)
