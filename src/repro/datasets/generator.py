@@ -126,7 +126,7 @@ class TrafficSimulator:
         n = self.network.num_nodes
         total_steps = cfg.num_days * STEPS_PER_DAY
 
-        demand = self._recurring_demand(rng, total_steps)          # (T, N)
+        demand = self._recurring_demand(rng)                       # (T, N)
         incident_forcing, incident_log = self._incidents(rng, total_steps)
         for step, node, magnitude, duration in (extra_incidents or []):
             if not 0 <= step < total_steps:
@@ -139,10 +139,6 @@ class TrafficSimulator:
                 magnitude * np.exp(-steps / max(1.0, duration / 2.5)))
             incident_log.append((step, node, float(magnitude), int(duration)))
 
-        # Upstream-neighbour averaging operator: congestion at a sensor is
-        # pushed to the sensors feeding into it (queue spillback).
-        spillback = self._spillback_operator()
-
         # Convex spatio-temporal filter: with feed = 1 - decay - coupling the
         # fixed point of the recursion equals the demand level, so recurring
         # density tracks the daily profile while congestion still spills
@@ -152,24 +148,44 @@ class TrafficSimulator:
             raise ValueError(
                 f"decay ({cfg.decay}) + coupling ({cfg.coupling}) must be < 1 "
                 "for stable congestion dynamics")
+        # The step state is [density state, AR(1) noise]: one gather moves
+        # both.  Demand enters every step only as feed·demand + incident
+        # forcing, so that sum is formed once, in place in the demand
+        # buffer, and the forcing buffer is released before the loop.
+        size = 2 * n
+        augmented = np.zeros(size)
+        state, noise = augmented[:n], augmented[n:]
+        state[:] = demand[0]
+        drive = demand
+        drive *= feed
+        drive += incident_forcing
+        del demand, incident_forcing
+        rows, columns, weights = self._step_operator()
         # One draw for every step's shocks: the same stream, in the same
         # order, as a draw per step, and the generator ends in the same
         # state for the ``missing`` draws below.  Each row of the buffer
-        # is overwritten by that step's density once its shock is read.
-        # maximum/minimum clip as np.clip does, without its per-call
-        # Python wrapper.
+        # is overwritten by that step's unclipped density once its shock
+        # is read; the whole buffer is clipped after the loop.
         density = rng.normal(0.0, cfg.noise_std, size=(total_steps, n))
-        state = demand[0].copy()
-        noise = np.zeros(n)
-        for t in range(total_steps):
-            noise = cfg.noise_ar * noise + density[t]
-            neighbour_pressure = spillback @ state
-            state = (cfg.decay * state
-                     + cfg.coupling * neighbour_pressure
-                     + feed * demand[t]
-                     + incident_forcing[t])
-            state = np.minimum(np.maximum(state, 0.0), 0.95)
-            np.minimum(np.maximum(state + noise, 0.0), 0.95, out=density[t])
+        # A step is a few small numpy calls, so their dispatch is most of
+        # its cost: the functions are bound to locals, ``out`` is
+        # positional where numpy allows it, and the clip bounds are 0-d
+        # arrays.
+        multiply, add, maximum, minimum = (np.multiply, np.add, np.maximum,
+                                           np.minimum)
+        bincount, copyto = np.bincount, np.copyto
+        floor, ceiling = np.zeros(()), np.full((), 0.95)
+        for drive_t, row in zip(drive, density):
+            terms = augmented[columns]
+            multiply(terms, weights, terms)
+            copyto(augmented, bincount(rows, terms, size))
+            add(state, drive_t, state)
+            add(noise, row, noise)
+            maximum(state, floor, out=state)
+            minimum(state, ceiling, out=state)
+            add(state, noise, row)
+        del drive                  # released before speed and flow exist
+        np.minimum(np.maximum(density, 0.0, out=density), 0.95, out=density)
 
         speed = speed_from_density(density, self.network.free_flow_speed[None, :])
         flow = flow_from_density(density, self.network.capacity[None, :])
@@ -192,12 +208,17 @@ class TrafficSimulator:
             missing_mask=missing, incident_log=incident_log)
 
     # ------------------------------------------------------------------ #
-    def _recurring_demand(self, rng: np.random.Generator,
-                          total_steps: int) -> np.ndarray:
-        """Daily double-peak demand per sensor, damped on weekends."""
+    def _recurring_demand(self, rng: np.random.Generator) -> np.ndarray:
+        """Daily double-peak demand per sensor, damped on weekends.
+
+        The profile is the same every day, so it is evaluated on one day's
+        steps and broadcast across the days, each scaled by its weekend
+        damping and jitter.
+        """
         cfg = self.config
         n = self.network.num_nodes
-        hours = (np.arange(total_steps) % STEPS_PER_DAY) / STEPS_PER_HOUR
+        num_days = cfg.num_days
+        hours = (np.arange(STEPS_PER_DAY) / STEPS_PER_HOUR)[:, None]
 
         # Per-sensor commute orientation: 0 = AM-heavy, 1 = PM-heavy.
         orientation = rng.random(n)
@@ -208,27 +229,26 @@ class TrafficSimulator:
         width = rng.uniform(1.0, 1.8, size=n)
         base = rng.uniform(0.04, 0.12, size=n)   # light overnight density
 
-        am_peak = np.exp(-((hours[:, None] - am_center[None, :]) / width) ** 2)
-        pm_peak = np.exp(-((hours[:, None] - pm_center[None, :]) / width) ** 2)
-        midday = 0.25 * np.exp(-((hours[:, None] - 13.0) / 3.0) ** 2)
+        am_peak = np.exp(-((hours - am_center) / width) ** 2)
+        pm_peak = np.exp(-((hours - pm_center) / width) ** 2)
+        midday = 0.25 * np.exp(-((hours - 13.0) / 3.0) ** 2)
 
         profile = cfg.rush_intensity * (am_weight * am_peak
                                         + pm_weight * pm_peak + midday)
-        demand = base[None, :] + profile
+        one_day = base + profile                              # (288, N)
 
-        day_index = np.arange(total_steps) // STEPS_PER_DAY
-        weekday = (day_index + cfg.start_weekday) % 7
+        weekday = (np.arange(num_days) + cfg.start_weekday) % 7
         weekend = (weekday >= 5).astype(float)
         day_scale = 1.0 - (1.0 - cfg.weekend_factor) * weekend
-        day_jitter = rng.normal(1.0, cfg.demand_jitter, size=day_index.max() + 1)
+        day_jitter = rng.normal(1.0, cfg.demand_jitter, size=num_days)
         if cfg.bad_weather_probability > 0:
-            bad_day = (rng.random(day_index.max() + 1)
-                       < cfg.bad_weather_probability)
+            bad_day = rng.random(num_days) < cfg.bad_weather_probability
             day_jitter = np.where(
                 bad_day, day_jitter * cfg.bad_weather_demand_factor,
                 day_jitter)
-        demand = demand * (day_scale * day_jitter[day_index])[:, None]
-        return np.clip(demand, 0.0, 0.9)
+        demand = (one_day * (day_scale * day_jitter)[:, None, None]
+                  ).reshape(num_days * STEPS_PER_DAY, n)
+        return np.clip(demand, 0.0, 0.9, out=demand)
 
     # ------------------------------------------------------------------ #
     def _incidents(self, rng: np.random.Generator, total_steps: int):
@@ -270,13 +290,28 @@ class TrafficSimulator:
         return mask
 
     # ------------------------------------------------------------------ #
-    def _spillback_operator(self) -> np.ndarray:
-        """Row-normalised matrix mapping node densities to the congestion
-        pressure felt by each node from its *downstream* successors."""
+    def _step_operator(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The linear part of one step as a neighbour gather.
+
+        Row ``i < N`` of the step reads sensor ``i`` with weight ``decay``
+        and each of its distinct downstream successors with weight
+        ``coupling / out-degree``: congestion at a sensor is pushed to the
+        sensors feeding into it (queue spillback).  Row ``N + i`` reads the
+        noise of sensor ``i`` with weight ``noise_ar``.  Term ``j`` adds
+        ``weights[j] * z[columns[j]]`` to row ``rows[j]``, and every row's
+        own term comes first.  A step costs O(N + E), not O(N²).
+        """
+        cfg = self.config
         n = self.network.num_nodes
-        op = np.zeros((n, n))
-        for node, successors in self.network.downstream_hops().items():
-            for succ in successors:
-                op[node, succ] = 1.0
-        row_sum = op.sum(axis=1, keepdims=True)
-        return op / np.where(row_sum > 0, row_sum, 1.0)
+        hops = self.network.downstream_hops()
+        # A successor listed twice counts once, as in a 0/1 adjacency.
+        successors = [sorted(set(hops[node])) for node in range(n)]
+        degree = np.array([len(s) for s in successors], dtype=np.intp)
+        source = np.repeat(np.arange(n), degree)
+        target = np.array([t for s in successors for t in s], dtype=np.intp)
+        rows = np.concatenate([np.arange(2 * n), source])
+        columns = np.concatenate([np.arange(2 * n), target])
+        weights = np.concatenate([np.full(n, cfg.decay),
+                                  np.full(n, cfg.noise_ar),
+                                  cfg.coupling / degree[source]])
+        return rows, columns, weights

@@ -29,6 +29,7 @@ bound to.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,7 @@ class ParamSpec:
     @property
     def size(self) -> int:
         """Number of scalar elements the parameter occupies."""
-        return int(np.prod(self.shape)) if self.shape else 1
+        return math.prod(self.shape)
 
 
 class ParameterArena:

@@ -1,8 +1,10 @@
 """Fingerprint of the simulated worlds.
 
-For METR-LA ``ci`` and PeMSD7 ``bench`` at seed offset 0, built fresh
-(no cache), ``world_fingerprint.json`` records the number of missing
-readings and the sum and sum of squares of density, speed and flow.  A
+For METR-LA ``ci`` and PeMSD7 ``bench`` (corridors), PeMSD3 ``ci`` (a
+radial network) and PeMSD7(M) ``ci`` (weekdays only), at seed offset 0
+and built fresh (no cache), ``world_fingerprint.json`` records the
+number of missing readings and the sum and sum of squares of density,
+speed and flow.  A
 performance change to the simulator must leave the worlds as they are:
 the counts match exactly and the moments to rounding.
 
@@ -25,7 +27,8 @@ import pytest
 from repro.datasets import load_dataset
 
 RECORD = Path(__file__).with_name("world_fingerprint.json")
-WORLDS = [("metr-la", "ci"), ("pemsd7", "bench")]
+WORLDS = [("metr-la", "ci"), ("pemsd7", "bench"), ("pemsd3", "ci"),
+          ("pemsd7m", "ci")]
 RTOL = 1e-12
 
 
