@@ -55,7 +55,8 @@ class ParameterArena:
     """One contiguous data + grad buffer covering a list of parameters.
 
     Construction copies every parameter's current values into the flat
-    ``data`` buffer and rebinds each ``Parameter`` in place:
+    ``data`` buffer (one ``np.concatenate``) and rebinds each
+    ``Parameter`` in place:
 
     - ``param.data`` becomes a reshaped view of ``arena.data``;
     - ``param.grad`` becomes a reshaped view of ``arena.grad`` (zeroed, or
@@ -77,30 +78,33 @@ class ParameterArena:
                 continue
             seen.add(id(param))
             unique.append((name, param))
-        dtype = np.result_type(*(p.data.dtype for _, p in unique))
+        self.parameters = tuple(param for _, param in unique)
+        arrays = [param.data for param in self.parameters]
 
         specs: list[ParamSpec] = []
         offset = 0
-        for name, param in unique:
-            specs.append(ParamSpec(name=name, shape=tuple(param.shape),
+        for (name, _), array in zip(unique, arrays):
+            specs.append(ParamSpec(name=name, shape=array.shape,
                                    offset=offset))
-            offset += param.size
+            offset += array.size
         self.specs: tuple[ParamSpec, ...] = tuple(specs)
-        self.data = np.empty(offset, dtype=dtype)
+        dtype = np.result_type(*(array.dtype for array in arrays))
+        # One copy of every parameter into the flat buffer.
+        self.data = np.concatenate([array.ravel() for array in arrays],
+                                   dtype=dtype)
         self.grad = np.zeros(offset, dtype=dtype)
-        self.parameters = tuple(param for _, param in unique)
 
         for spec, param in zip(self.specs, self.parameters):
             stop = spec.offset + spec.size
-            self.data[spec.offset:stop] = param.data.ravel()
-            data_view = self.data[spec.offset:stop].reshape(spec.shape)
             grad_view = self.grad[spec.offset:stop].reshape(spec.shape)
-            if param.grad is not None:
-                grad_view[...] = param.grad
-            param.data = data_view
+            node = param._node          # gradients land in the arena view
+            if node.grad is not None:
+                grad_view[...] = node.grad
+            param.data = self.data[spec.offset:stop].reshape(spec.shape)
             param._grad_view = grad_view
             param._arena = self
-            param.grad = grad_view
+            node.dtype = dtype
+            node.grad = grad_view
 
     # ------------------------------------------------------------------ #
     @property
@@ -129,7 +133,7 @@ class ParameterArena:
         """Zero the whole gradient buffer (one memset) and re-arm views."""
         self.grad.fill(0.0)
         for param in self.parameters:
-            param.grad = param._grad_view
+            param._node.grad = param._grad_view
 
     def sync_grads(self) -> None:
         """Re-point stray gradients back into the arena.

@@ -30,15 +30,24 @@ __all__ = [
 MASKED_SCORE = -1e9
 
 
+def _parent_nodes(x: Tensor, weight: Tensor, bias: Tensor | None):
+    """``(x, weight, bias)`` nodes of a layer op, plus the bias shape; a
+    constant operand (or an absent bias) gives ``None``."""
+    if bias is None:
+        return x._node, weight._node, None, None
+    return x._node, weight._node, bias._node, bias.shape
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically-stable softmax along ``axis``."""
     shifted_data = x.data - x.data.max(axis=axis, keepdims=True)
     exp_data = np.exp(shifted_data)
     out_data = exp_data / exp_data.sum(axis=axis, keepdims=True)
+    node = x._node
 
     def backward(g: np.ndarray) -> None:
         dot = (g * out_data).sum(axis=axis, keepdims=True)
-        x._accumulate(out_data * (g - dot))
+        node.accumulate(out_data * (g - dot))
 
     return Tensor._make(out_data, (x,), backward, "softmax")
 
@@ -51,14 +60,15 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
+    nodes = [t._node for t in tensors]
 
     def backward(g: np.ndarray) -> None:
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if not t.requires_grad:
+        for node, start, stop in zip(nodes, offsets[:-1], offsets[1:]):
+            if node is None:
                 continue
             index = [slice(None)] * g.ndim
             index[axis] = slice(start, stop)
-            t._accumulate(g[tuple(index)])
+            node.accumulate(g[tuple(index)])
 
     return Tensor._make(out_data, tuple(tensors), backward, "concat")
 
@@ -66,11 +76,12 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
     out_data = np.stack([t.data for t in tensors], axis=axis)
+    nodes = [t._node for t in tensors]
 
     def backward(g: np.ndarray) -> None:
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                t._accumulate(np.take(g, i, axis=axis))
+        for i, node in enumerate(nodes):
+            if node is not None:
+                node.accumulate(np.take(g, i, axis=axis))
 
     return Tensor._make(out_data, tuple(tensors), backward, "stack")
 
@@ -87,18 +98,20 @@ def _slice_views(x: Tensor, indices: Sequence[tuple], op: str) -> list[Tensor]:
     """
     if not x.requires_grad or not is_grad_enabled():
         return [x[idx] for idx in indices]
+    node = x._node
 
     def anchor_backward(g: np.ndarray) -> None:
-        x._accumulate(g)
+        node.accumulate(g)
 
     anchor = Tensor._make(x.data, (x,), anchor_backward, op)
+    shared = anchor._node
     shape, dtype = x.shape, x.data.dtype
     views = []
     for idx in indices:
         def view_backward(g: np.ndarray, idx=idx) -> None:
-            if anchor.grad is None:
-                anchor.grad = np.zeros(shape, dtype=dtype)
-            anchor.grad[idx] += g
+            if shared.grad is None:
+                shared.grad = np.zeros(shape, dtype=dtype)
+            shared.grad[idx] += g
 
         views.append(Tensor._make(x.data[idx], (anchor,), view_backward, op))
     return views
@@ -154,14 +167,18 @@ def einsum(subscripts: str, a: Tensor, b: Tensor) -> Tensor:
     (a_sub, b_sub), out_sub, _ = _kernels.einsum_plan(subscripts, a.shape,
                                                       b.shape)
     out_data = _kernels.einsum(subscripts, a.data, b.data)
+    a_node, b_node = a._node, b._node
+    # Each operand's gradient contracts the other operand.
+    a_data = a.data if b_node is not None else None
+    b_data = b.data if a_node is not None else None
 
     def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(_kernels.einsum(f"{out_sub},{b_sub}->{a_sub}", g,
-                                          b.data))
-        if b.requires_grad:
-            b._accumulate(_kernels.einsum(f"{out_sub},{a_sub}->{b_sub}", g,
-                                          a.data))
+        if a_node is not None:
+            a_node.accumulate(_kernels.einsum(
+                f"{out_sub},{b_sub}->{a_sub}", g, b_data))
+        if b_node is not None:
+            b_node.accumulate(_kernels.einsum(
+                f"{out_sub},{a_sub}->{b_sub}", g, a_data))
 
     return Tensor._make(out_data, (a, b), backward, "einsum")
 
@@ -170,7 +187,8 @@ def einsum(subscripts: str, a: Tensor, b: Tensor) -> Tensor:
 # fused layer ops: one tape node each.  The forward makes the numpy calls
 # of the composition it replaces (kept in repro.nn.reference), in the same
 # order, so its output is bitwise that composition's; the backward closure
-# holds only the arrays it reads, not every intermediate product.
+# holds only the arrays it reads, not every intermediate product, and an
+# operand's array only when another operand's gradient reads it.
 # --------------------------------------------------------------------- #
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """``x Wᵀ + b`` over the last axis: ``x`` (..., in), ``weight``
@@ -185,15 +203,19 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None:
         out_data += bias.data
     parents = (x, weight) if bias is None else (x, weight, bias)
+    x_node, w_node, b_node, b_shape = _parent_nodes(x, weight, bias)
+    out_features, in_features = w.shape
+    x_data = x.data if w_node is not None else None
+    w_data = w if x_node is not None else None
 
     def backward(g: np.ndarray) -> None:
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(unbroadcast(g, bias.shape))
-        if weight.requires_grad:
-            x_mat = x.data.reshape(-1, w.shape[1])
-            weight._accumulate((x_mat.T @ g.reshape(-1, w.shape[0])).T)
-        if x.requires_grad:
-            x._accumulate(g @ w)
+        if b_node is not None:
+            b_node.accumulate(unbroadcast(g, b_shape))
+        if w_node is not None:
+            x_mat = x_data.reshape(-1, in_features)
+            w_node.accumulate((x_mat.T @ g.reshape(-1, out_features)).T)
+        if x_node is not None:
+            x_node.accumulate(g @ w_data)
 
     return Tensor._make(out_data, parents, backward, "linear")
 
@@ -222,33 +244,37 @@ def support_conv(x: Tensor, supports: np.ndarray, identity: Sequence[bool],
     if bias is not None:
         out_data += bias.data
     parents = (x, weight) if bias is None else (x, weight, bias)
+    x_node, w_node, b_node, b_shape = _parent_nodes(x, weight, bias)
+    w_shape = w.shape
+    x_data = x.data if w_node is not None else None
+    w_data = w if x_node is not None else None
 
     def backward(g: np.ndarray) -> None:
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(unbroadcast(g, bias.shape))
-        if not (weight.requires_grad or x.requires_grad):
+        if b_node is not None:
+            b_node.accumulate(unbroadcast(g, b_shape))
+        if w_node is None and x_node is None:
             return
         # S_kᵀ acts on the node axis and W_kᵀ on the channel axis, so they
         # commute: one propagated gradient r_k = S_kᵀ g gives both the
         # weight gradient xᵀ r_k and the input term r_k W_kᵀ.
-        if weight.requires_grad:
-            x_mat = x.data.reshape(-1, w.shape[1])
-            gw = np.empty(w.shape, dtype=g.dtype)
+        if w_node is not None:
+            x_mat = x_data.reshape(-1, w_shape[1])
+            gw = np.empty(w_shape, dtype=g.dtype)
         gx = None
         for k, support in enumerate(supports):
             r = g if identity[k] else support.T @ g         # (..., N, Cout)
-            if weight.requires_grad:
-                np.matmul(x_mat.T, r.reshape(-1, w.shape[2]), out=gw[k])
-            if x.requires_grad:
-                term = r @ w[k].T
+            if w_node is not None:
+                np.matmul(x_mat.T, r.reshape(-1, w_shape[2]), out=gw[k])
+            if x_node is not None:
+                term = r @ w_data[k].T
                 if gx is None:
                     gx = term
                 else:
                     gx += term
-        if weight.requires_grad:
-            weight._accumulate(gw)
-        if x.requires_grad:
-            x._accumulate(gx)
+        if w_node is not None:
+            w_node.accumulate(gw)
+        if x_node is not None:
+            x_node.accumulate(gx)
 
     return Tensor._make(out_data, parents, backward, "support_conv")
 
@@ -256,9 +282,9 @@ def support_conv(x: Tensor, supports: np.ndarray, identity: Sequence[bool],
 def gru_update(u: Tensor, h: Tensor, c: Tensor) -> Tensor:
     """The gated blend ``u·h + (1 − u)·c`` of a GRU step.
 
-    The closure reads ``u``, ``h`` and ``c`` — arrays their own nodes hold
-    anyway — instead of the three products and the sum the composition
-    leaves on the tape.
+    The closure reads ``u`` (for the gradients of ``h`` and ``c``) and
+    ``h`` and ``c`` (for the gradient of ``u``) instead of the three
+    products and the sum the composition leaves on the tape.
     """
     shape = np.broadcast_shapes(u.shape, h.shape, c.shape)
     dtype = np.result_type(u.data, h.data, c.data)
@@ -266,16 +292,22 @@ def gru_update(u: Tensor, h: Tensor, c: Tensor) -> Tensor:
     rest = np.subtract(1.0, u.data, out=np.empty(shape, dtype))
     rest *= c.data
     out_data += rest
+    u_node, h_node, c_node = u._node, h._node, c._node
+    u_shape, h_shape, c_shape = u.shape, h.shape, c.shape
+    u_data = (u.data if h_node is not None or c_node is not None
+              else None)
+    h_data, c_data = ((h.data, c.data) if u_node is not None
+                      else (None, None))
 
     def backward(g: np.ndarray) -> None:
-        if u.requires_grad:
-            gu = g * h.data
-            gu -= g * c.data
-            u._accumulate(unbroadcast(gu, u.shape))
-        if h.requires_grad:
-            h._accumulate(unbroadcast(g * u.data, h.shape))
-        if c.requires_grad:
-            c._accumulate(unbroadcast(g * (1.0 - u.data), c.shape))
+        if u_node is not None:
+            gu = g * h_data
+            gu -= g * c_data
+            u_node.accumulate(unbroadcast(gu, u_shape))
+        if h_node is not None:
+            h_node.accumulate(unbroadcast(g * u_data, h_shape))
+        if c_node is not None:
+            c_node.accumulate(unbroadcast(g * (1.0 - u_data), c_shape))
 
     return Tensor._make(out_data, (u, h, c), backward, "gru_update")
 
@@ -301,24 +333,31 @@ def attention(q: Tensor, k: Tensor, v: Tensor,
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
     out_data = weights @ v.data
+    q_node, k_node, v_node = q._node, k._node, v._node
+    q_shape, v_shape = q.shape, v.shape
+    k_swapped = (*k.shape[:-2], k.shape[-1], k.shape[-2])
+    # d scores reads v; then q's gradient reads k and k's reads q.
+    v_data = v.data if q_node is not None or k_node is not None else None
+    k_data = k.data if q_node is not None else None
+    q_data = q.data if k_node is not None else None
 
     def backward(g: np.ndarray) -> None:
-        if v.requires_grad:
-            v._accumulate(unbroadcast(np.swapaxes(weights, -1, -2) @ g,
-                                      v.shape))
-        if not (q.requires_grad or k.requires_grad):
+        if v_node is not None:
+            v_node.accumulate(unbroadcast(np.swapaxes(weights, -1, -2) @ g,
+                                          v_shape))
+        if q_node is None and k_node is None:
             return
-        gs = g @ np.swapaxes(v.data, -1, -2)                # d weights
+        gs = g @ np.swapaxes(v_data, -1, -2)                # d weights
         dot = (gs * weights).sum(axis=-1, keepdims=True)
         gs -= dot
         gs *= weights                                       # d scores
         gs *= scale
-        if q.requires_grad:
-            q._accumulate(unbroadcast(gs @ k.data, q.shape))
-        if k.requires_grad:
-            gk = np.swapaxes(q.data, -1, -2) @ gs           # (..., d, Lk)
-            k_swapped = (*k.shape[:-2], k.shape[-1], k.shape[-2])
-            k._accumulate(np.swapaxes(unbroadcast(gk, k_swapped), -1, -2))
+        if q_node is not None:
+            q_node.accumulate(unbroadcast(gs @ k_data, q_shape))
+        if k_node is not None:
+            gk = np.swapaxes(q_data, -1, -2) @ gs           # (..., d, Lk)
+            k_node.accumulate(
+                np.swapaxes(unbroadcast(gk, k_swapped), -1, -2))
 
     return Tensor._make(out_data, (q, k, v), backward, "attention")
 
@@ -362,25 +401,31 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         out_data = out_data.reshape(batch, c_out, out_h, out_w)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
+    x_node, w_node, b_node, _ = _parent_nodes(x, weight, bias)
+    w_shape = weight.shape
+    # The weight gradient reads the columns, the input gradient the weight.
+    saved_cols = cols_mat if w_node is not None else None
+    saved_w = w_mat if x_node is not None else None
 
     def backward(g: np.ndarray) -> None:
         with span("kernel/conv2d_backward", batch=batch, kernel=(kh, kw)):
             g_mat = g.reshape(batch, c_out, -1)              # (B, Cout, L)
-            if weight.requires_grad:
+            if w_node is not None:
                 # One batched GEMM that reads both operands in their own
                 # layouts (no transposed copies), then a sum over the batch.
-                gw = np.matmul(g_mat, cols_mat.transpose(0, 2, 1)).sum(axis=0)
-                weight._accumulate(gw.reshape(weight.shape))
-            if bias is not None and bias.requires_grad:
-                bias._accumulate(g_mat.sum(axis=(0, 2)))
-            if not x.requires_grad:
+                gw = np.matmul(g_mat, saved_cols.transpose(0, 2, 1))
+                gw = gw.sum(axis=0)
+                w_node.accumulate(gw.reshape(w_shape))
+            if b_node is not None:
+                b_node.accumulate(g_mat.sum(axis=(0, 2)))
+            if x_node is None:
                 # Raw data input: no column GEMM, no col2im scatter.
                 return
             # input grad: scatter columns back
-            g_cols = np.matmul(w_mat.T, g_mat)               # (B, CK, L)
+            g_cols = np.matmul(saved_w.T, g_mat)             # (B, CK, L)
             g_cols = g_cols.reshape(batch, c_in, kh * kw, -1)
             gx = _kernels.col2im(g_cols, (batch, c_in, height, width),
                                  (kh, kw), stride, dilation)
-            x._accumulate(gx)
+            x_node.accumulate(gx)
 
     return Tensor._make(out_data, parents, backward, "conv2d")

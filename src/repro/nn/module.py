@@ -12,7 +12,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Node, Tensor
 
 __all__ = ["Parameter", "Module", "ModuleList"]
 
@@ -25,12 +25,15 @@ class Parameter(Tensor):
     one flat buffer shared by every parameter of the model, and it keeps a
     persistent flat gradient view so backward passes accumulate straight
     into the arena.  Free-standing parameters behave exactly as before.
+    As in PyTorch, a parameter requires grad even when it is built under
+    ``no_grad``.
     """
 
     __slots__ = ("_grad_view", "_arena")
 
     def __init__(self, data, *, dtype=None):
-        super().__init__(data, requires_grad=True, dtype=dtype)
+        super().__init__(data, dtype=dtype)
+        self._node = Node(self.data.dtype)
         self._grad_view = None          # arena gradient view, when bound
         self._arena = None              # owning ParameterArena, when bound
 
@@ -117,6 +120,7 @@ class Module:
                     f"parameter {name!r} is bound to an arena; cast the "
                     "model before flattening its parameters")
             param.data = param.data.astype(dtype, copy=False)
+            param._node.dtype = dtype       # its gradients follow
         for _, module in self.named_modules():
             for name, buf in module._buffers.items():
                 if buf.dtype.kind == "f":

@@ -90,19 +90,21 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         out_data += bias.data[None, :, None]
     out_data = out_data.reshape(batch, c_out, out_h, out_w)
     parents = (x, weight) if bias is None else (x, weight, bias)
+    x_node, w_node, w_shape = x._node, weight._node, weight.shape
+    b_node = None if bias is None else bias._node
 
     def backward(g: np.ndarray) -> None:
         g_mat = g.reshape(batch, c_out, -1)
-        if weight.requires_grad:
+        if w_node is not None:
             gw = np.einsum("bol,bkl->ok", g_mat, cols_mat)
-            weight._accumulate(gw.reshape(weight.shape))
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(g_mat.sum(axis=(0, 2)))
-        if not x.requires_grad:
+            w_node.accumulate(gw.reshape(w_shape))
+        if b_node is not None:
+            b_node.accumulate(g_mat.sum(axis=(0, 2)))
+        if x_node is None:
             return
         g_cols = np.einsum("ok,bol->bkl", w_mat, g_mat)
-        x._accumulate(col2im(g_cols, (batch, c_in, height, width), (kh, kw),
-                             stride, dilation))
+        x_node.accumulate(col2im(g_cols, (batch, c_in, height, width),
+                                 (kh, kw), stride, dilation))
 
     return Tensor._make(out_data, parents, backward, "conv2d")
 

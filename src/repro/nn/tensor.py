@@ -5,10 +5,15 @@ model in :mod:`repro.models` is built from :class:`Tensor` operations so that
 all eight architectures share one set of kernels, exactly as the paper runs
 all models on one framework to keep comparisons fair.
 
-The design is a classic dynamic tape: each :class:`Tensor` produced by an
-operation keeps references to its parents and a closure that propagates the
-output gradient to them.  Calling :meth:`Tensor.backward` topologically sorts
-the tape and accumulates gradients into ``.grad`` (a plain numpy array).
+The design is a dynamic tape with PyTorch's saved-tensor rule.  Each
+:class:`Tensor` that requires grad owns a small :class:`Node`: its
+gradient, the backward closure that propagates that gradient, and the
+nodes of its parents.  At forward time a closure captures exactly the
+arrays its backward reads, plus the parents' *nodes* — never a parent
+``Tensor`` — so an interior output that no closure reads is freed as soon
+as the caller drops it.  Calling :meth:`Tensor.backward` topologically
+sorts the nodes and accumulates gradients into ``.grad`` (a plain numpy
+array).
 
 Broadcasting follows numpy semantics; gradients of broadcast operands are
 reduced back to the operand shape with :func:`unbroadcast`.
@@ -115,27 +120,29 @@ def _normalize_pad_width(pad_width, ndim: int) -> tuple[tuple[int, int], ...]:
     return tuple((int(before), int(after)) for before, after in pairs)
 
 
-def _matmul_grad_a(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _matmul_grad_a(g: np.ndarray, a_shape: tuple[int, ...],
+                   b: np.ndarray) -> np.ndarray:
     """Gradient of ``a @ b`` with respect to ``a`` (numpy ``@`` rules)."""
-    if a.ndim == 1 and b.ndim == 1:
+    if len(a_shape) == 1 and b.ndim == 1:
         return g * b
-    if a.ndim == 1:  # (k,) @ (..., k, n) -> (..., n)
-        return unbroadcast((g[..., None, :] * b).sum(axis=-1), a.shape)
+    if len(a_shape) == 1:  # (k,) @ (..., k, n) -> (..., n)
+        return unbroadcast((g[..., None, :] * b).sum(axis=-1), a_shape)
     if b.ndim == 1:  # (..., m, k) @ (k,) -> (..., m)
-        return unbroadcast(g[..., :, None] * b, a.shape)
-    return unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape)
+        return unbroadcast(g[..., :, None] * b, a_shape)
+    return unbroadcast(g @ np.swapaxes(b, -1, -2), a_shape)
 
 
-def _matmul_grad_b(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _matmul_grad_b(g: np.ndarray, a: np.ndarray,
+                   b_shape: tuple[int, ...]) -> np.ndarray:
     """Gradient of ``a @ b`` with respect to ``b`` (numpy ``@`` rules)."""
-    if a.ndim == 1 and b.ndim == 1:
+    if a.ndim == 1 and len(b_shape) == 1:
         return g * a
     if a.ndim == 1:
-        return unbroadcast(a[:, None] * g[..., None, :], b.shape)
-    if b.ndim == 1:
+        return unbroadcast(a[:, None] * g[..., None, :], b_shape)
+    if len(b_shape) == 1:
         return unbroadcast((a * g[..., :, None]).sum(
-            axis=tuple(range(a.ndim - 1))), b.shape)
-    return unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
+            axis=tuple(range(a.ndim - 1))), b_shape)
+    return unbroadcast(np.swapaxes(a, -1, -2) @ g, b_shape)
 
 
 def _freed_backward(grad: np.ndarray) -> None:
@@ -176,6 +183,55 @@ def _as_array(value, dtype=None) -> np.ndarray:
     return array
 
 
+class Node:
+    """The autograd state of one tensor: what backward needs of it.
+
+    ``grad`` is the gradient accumulated so far, ``backward`` the closure
+    that hands it on (``None`` for a leaf), and ``parents`` the nodes of
+    the operands that require grad.  A node never refers to a
+    :class:`Tensor`, so a tensor's array lives only as long as the tensor
+    itself or a closure that saved it.  ``dtype`` is the tensor's dtype,
+    which every gradient takes; code that rebinds a tensor's array to
+    another dtype (``Module._cast``, the parameter arena) updates it.
+    """
+
+    __slots__ = ("grad", "backward", "parents", "dtype", "borrowed")
+
+    def __init__(self, dtype, backward: Callable[[np.ndarray], None] | None
+                 = None, parents: tuple["Node", ...] = ()):
+        self.grad: np.ndarray | None = None
+        self.backward = backward
+        self.parents = parents
+        self.dtype = dtype
+        self.borrowed = False
+
+    def accumulate(self, grad: np.ndarray) -> None:
+        """Add one gradient contribution into :attr:`grad`.
+
+        An interior node (one with a backward closure) *borrows* its first
+        contribution when it is a C-contiguous array of the node's dtype:
+        it stores the array itself, with no copy.  Nothing writes into a
+        borrowed buffer — a second contribution allocates ``grad + g``,
+        which the node owns (and adds into in place) from then on.
+        Leaves always copy their first contribution, since
+        ``clip_grad_norm`` and the optimizers scale and update leaf
+        gradients in place, and two leaves may be handed the same array.
+        """
+        if self.grad is None:
+            self.borrowed = (self.backward is not None
+                             and type(grad) is np.ndarray
+                             and grad.dtype == self.dtype
+                             and grad.flags.c_contiguous)
+            self.grad = (grad if self.borrowed
+                         else np.array(grad, dtype=self.dtype, copy=True))
+        elif self.borrowed:
+            self.grad = (self.grad + grad).astype(self.dtype, copy=False)
+            self.borrowed = False
+        else:
+            # Reuse the owned buffer: one pass, no temporary.
+            np.add(self.grad, grad, out=self.grad)
+
+
 class Tensor:
     """A numpy-backed array with reverse-mode autodiff.
 
@@ -187,20 +243,14 @@ class Tensor:
         Whether gradients should be accumulated into :attr:`grad`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
-                 "op", "_grad_borrowed")
+    __slots__ = ("data", "_node", "op")
 
-    def __init__(self, data, requires_grad: bool = False, *, dtype=None,
-                 _parents: tuple["Tensor", ...] = (),
-                 _backward: Callable[[np.ndarray], None] | None = None,
-                 op: str = ""):
-        self.data = _as_array(data, dtype)
-        self.grad: np.ndarray | None = None
-        self._grad_borrowed = False
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
-        self._parents = _parents if self.requires_grad else ()
-        self._backward = _backward if self.requires_grad else None
-        self.op = op
+    def __init__(self, data, requires_grad: bool = False, *, dtype=None):
+        data = _as_array(data, dtype)
+        self._node = (Node(data.dtype) if requires_grad and _GRAD_ENABLED
+                      else None)
+        self.data = data
+        self.op = ""
 
     # ------------------------------------------------------------------ #
     # basic properties
@@ -224,6 +274,45 @@ class Tensor:
     @property
     def T(self) -> "Tensor":
         return self.transpose()
+
+    @property
+    def requires_grad(self) -> bool:
+        """Whether the tensor has a tape node (gradients flow into it)."""
+        return self._node is not None
+
+    @requires_grad.setter
+    def requires_grad(self, flag: bool) -> None:
+        if not flag:
+            self._node = None
+        elif self._node is None:
+            self._node = Node(self.data.dtype)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        """The gradient accumulated into this tensor's node, if any."""
+        node = self._node
+        return None if node is None else node.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        if self._node is not None:
+            self._node.grad = value
+        elif value is not None:
+            raise RuntimeError(
+                "cannot set the gradient of a tensor that does not require "
+                "grad")
+
+    @property
+    def _backward(self) -> Callable[[np.ndarray], None] | None:
+        """The node's backward closure (``None`` for leaves and constants).
+
+        Assignable, so a tracer can wrap an op's closure in a timer."""
+        node = self._node
+        return None if node is None else node.backward
+
+    @_backward.setter
+    def _backward(self, closure: Callable[[np.ndarray], None]) -> None:
+        self._node.backward = closure
 
     def __len__(self) -> int:
         return len(self.data)
@@ -252,9 +341,18 @@ class Tensor:
     @staticmethod
     def _make(data: np.ndarray, parents: Sequence["Tensor"],
               backward: Callable[[np.ndarray], None], op: str) -> "Tensor":
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-        return Tensor(data, requires_grad=requires,
-                      _parents=tuple(parents), _backward=backward, op=op)
+        """The output tensor of an op; it joins the tape when grad is on
+        and some parent requires grad.  Only the parents' nodes are kept,
+        and ``backward`` must capture nodes and arrays, not tensors."""
+        out = Tensor.__new__(Tensor)
+        out.data = data = _as_array(data)
+        out.op = op
+        out._node = None
+        if _GRAD_ENABLED:
+            nodes = [p._node for p in parents if p._node is not None]
+            if nodes:
+                out._node = Node(data.dtype, backward, tuple(nodes))
+        return out
 
     def _coerce(self, other) -> "Tensor":
         """``other`` as a Tensor operand of a binary op with ``self``.
@@ -270,35 +368,6 @@ class Tensor:
             return Tensor(other, dtype=self.data.dtype)
         return Tensor(other)
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        """Add one gradient contribution into :attr:`grad`.
-
-        An interior node (one with a backward closure) *borrows* its first
-        contribution when it is a C-contiguous array of the node's dtype:
-        it stores the array itself, with no copy.  Nothing writes into a
-        borrowed buffer — a second contribution allocates ``grad + g``,
-        which the node owns (and adds into in place) from then on.
-        Leaves always copy their first contribution, since
-        ``clip_grad_norm`` and the optimizers scale and update leaf
-        gradients in place, and two leaves may be handed the same array.
-        """
-        if not self.requires_grad:
-            return
-        if self.grad is None:
-            dtype = self.data.dtype
-            self._grad_borrowed = (self._backward is not None
-                                   and type(grad) is np.ndarray
-                                   and grad.dtype == dtype
-                                   and grad.flags.c_contiguous)
-            self.grad = (grad if self._grad_borrowed
-                         else np.array(grad, dtype=dtype, copy=True))
-        elif self._grad_borrowed:
-            self.grad = (self.grad + grad).astype(self.data.dtype, copy=False)
-            self._grad_borrowed = False
-        else:
-            # Reuse the owned buffer: one pass, no temporary.
-            np.add(self.grad, grad, out=self.grad)
-
     # ------------------------------------------------------------------ #
     # backward pass
     # ------------------------------------------------------------------ #
@@ -309,15 +378,16 @@ class Tensor:
         ``grad`` defaults to ones (so scalars need no argument, matching the
         usual loss.backward() idiom).
 
-        With ``free_graph=True`` the tape is torn down as soon as the pass
-        completes: intermediate nodes drop their parent references,
-        backward closures, and gradient buffers, so the whole graph (and
-        every activation captured by its closures) becomes collectible
-        immediately.  This cuts peak RSS during training, where each batch
-        builds a fresh graph anyway; a second backward through a freed
+        With ``free_graph=True`` the tape is torn down as the pass runs:
+        each node is popped, run, and at once drops its backward closure
+        (with every array that closure saved), its parent links and its
+        gradient buffer, so a step's peak holds the saved arrays of the
+        nodes not yet reached, not of the whole tape.  Training builds a
+        fresh graph per batch anyway; a second backward through a freed
         graph raises ``RuntimeError``.
         """
-        if not self.requires_grad:
+        root = self._node
+        if root is None:
             raise RuntimeError("backward() on a tensor that does not require grad")
         if grad is None:
             grad = np.ones_like(self.data)
@@ -328,9 +398,9 @@ class Tensor:
                 raise ValueError(
                     f"gradient shape {grad.shape} does not match tensor shape {self.shape}")
 
-        topo: list[Tensor] = []
+        topo: list[Node] = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[Node, bool]] = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -340,44 +410,51 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
-                if parent.requires_grad and id(parent) not in visited:
+            for parent in node.parents:
+                if id(parent) not in visited:
                     stack.append((parent, False))
 
         # Reset *intermediate* gradients (nodes produced by ops) so repeated
         # backward passes through the same graph do not re-propagate stale
-        # values; leaves (parameters/inputs, _backward is None) accumulate
-        # across calls as usual.
+        # values; leaves (parameters/inputs, no closure) accumulate across
+        # calls as usual.
         for node in topo:
-            if node._backward is not None:
+            if node.backward is not None:
                 node.grad = None
 
-        self._accumulate(grad)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-                if free_graph:
-                    # All consumers already ran (reverse-topological order),
-                    # so this buffer can never be read again.
-                    node.grad = None
-        if free_graph:
-            for node in topo:
-                if node._backward is not None:
-                    node._parents = ()
-                    node._backward = _freed_backward
+        root.accumulate(grad)
+        while topo:
+            # Reverse-topological order: every consumer of this node has
+            # already run, so its gradient is complete.
+            node = topo.pop()
+            backward = node.backward
+            if backward is None:
+                continue
+            if node.grad is not None:
+                backward(node.grad)
+            if free_graph:
+                # Nothing reads this node again; rebinding ``backward`` on
+                # the next pop releases the closure's saved arrays before
+                # the next closure runs.
+                node.grad = None
+                node.backward = _freed_backward
+                node.parents = ()
 
     # ------------------------------------------------------------------ #
-    # arithmetic
+    # arithmetic — each closure captures its parents' nodes (``None`` for
+    # a constant operand) and only the arrays its own gradients read
     # ------------------------------------------------------------------ #
     def __add__(self, other) -> "Tensor":
         other = self._coerce(other)
         out_data = self.data + other.data
+        a, b = self._node, other._node
+        a_shape, b_shape = self.shape, other.shape
 
         def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(unbroadcast(g, self.shape))
-            if other.requires_grad:
-                other._accumulate(unbroadcast(g, other.shape))
+            if a is not None:
+                a.accumulate(unbroadcast(g, a_shape))
+            if b is not None:
+                b.accumulate(unbroadcast(g, b_shape))
 
         return self._make(out_data, (self, other), backward, "add")
 
@@ -386,12 +463,14 @@ class Tensor:
     def __sub__(self, other) -> "Tensor":
         other = self._coerce(other)
         out_data = self.data - other.data
+        a, b = self._node, other._node
+        a_shape, b_shape = self.shape, other.shape
 
         def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(unbroadcast(g, self.shape))
-            if other.requires_grad:
-                other._accumulate(unbroadcast(-g, other.shape))
+            if a is not None:
+                a.accumulate(unbroadcast(g, a_shape))
+            if b is not None:
+                b.accumulate(unbroadcast(-g, b_shape))
 
         return self._make(out_data, (self, other), backward, "sub")
 
@@ -401,12 +480,17 @@ class Tensor:
     def __mul__(self, other) -> "Tensor":
         other = self._coerce(other)
         out_data = self.data * other.data
+        a, b = self._node, other._node
+        a_shape, b_shape = self.shape, other.shape
+        # Each operand's gradient reads the other operand.
+        a_data = self.data if b is not None else None
+        b_data = other.data if a is not None else None
 
         def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(unbroadcast(g * other.data, self.shape))
-            if other.requires_grad:
-                other._accumulate(unbroadcast(g * self.data, other.shape))
+            if a is not None:
+                a.accumulate(unbroadcast(g * b_data, a_shape))
+            if b is not None:
+                b.accumulate(unbroadcast(g * a_data, b_shape))
 
         return self._make(out_data, (self, other), backward, "mul")
 
@@ -415,13 +499,17 @@ class Tensor:
     def __truediv__(self, other) -> "Tensor":
         other = self._coerce(other)
         out_data = self.data / other.data
+        a, b = self._node, other._node
+        a_shape, b_shape = self.shape, other.shape
+        a_data = self.data if b is not None else None
+        b_data = other.data
 
         def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(unbroadcast(g / other.data, self.shape))
-            if other.requires_grad:
-                other._accumulate(unbroadcast(
-                    -g * self.data / (other.data ** 2), other.shape))
+            if a is not None:
+                a.accumulate(unbroadcast(g / b_data, a_shape))
+            if b is not None:
+                b.accumulate(unbroadcast(
+                    -g * a_data / (b_data ** 2), b_shape))
 
         return self._make(out_data, (self, other), backward, "div")
 
@@ -429,8 +517,10 @@ class Tensor:
         return self._coerce(other).__truediv__(self)
 
     def __neg__(self) -> "Tensor":
+        a = self._node
+
         def backward(g: np.ndarray) -> None:
-            self._accumulate(-g)
+            a.accumulate(-g)
 
         return self._make(-self.data, (self,), backward, "neg")
 
@@ -442,9 +532,10 @@ class Tensor:
             # keeps the base's dtype.
             exponent = exponent.item()
         out_data = self.data ** exponent
+        a, a_data = self._node, self.data
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(g * exponent * self.data ** (exponent - 1))
+            a.accumulate(g * exponent * a_data ** (exponent - 1))
 
         return self._make(out_data, (self,), backward, "pow")
 
@@ -455,13 +546,16 @@ class Tensor:
         """Batched matrix multiply following numpy @ semantics."""
         other = self._coerce(other)
         out_data = self.data @ other.data
-        a, b = self.data, other.data
+        a, b = self._node, other._node
+        a_shape, b_shape = self.shape, other.shape
+        a_data = self.data if b is not None else None
+        b_data = other.data if a is not None else None
 
         def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(_matmul_grad_a(g, a, b))
-            if other.requires_grad:
-                other._accumulate(_matmul_grad_b(g, a, b))
+            if a is not None:
+                a.accumulate(_matmul_grad_a(g, a_shape, b_data))
+            if b is not None:
+                b.accumulate(_matmul_grad_b(g, a_data, b_shape))
 
         return self._make(out_data, (self, other), backward, "matmul")
 
@@ -470,42 +564,47 @@ class Tensor:
     # ------------------------------------------------------------------ #
     def sqrt(self) -> "Tensor":
         out_data = np.sqrt(self.data)
+        a = self._node
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(g * 0.5 / out_data)
+            a.accumulate(g * 0.5 / out_data)
 
         return self._make(out_data, (self,), backward, "sqrt")
 
     def abs(self) -> "Tensor":
         out_data = np.abs(self.data)
+        a, a_data = self._node, self.data
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(g * np.sign(self.data))
+            a.accumulate(g * np.sign(a_data))
 
         return self._make(out_data, (self,), backward, "abs")
 
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
+        a = self._node
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(g * (1.0 - out_data ** 2))
+            a.accumulate(g * (1.0 - out_data ** 2))
 
         return self._make(out_data, (self,), backward, "tanh")
 
     def sigmoid(self) -> "Tensor":
         out_data = _logistic(self.data)
+        a = self._node
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(g * out_data * (1.0 - out_data))
+            a.accumulate(g * out_data * (1.0 - out_data))
 
         return self._make(out_data, (self,), backward, "sigmoid")
 
     def relu(self) -> "Tensor":
         mask = self.data > 0
         out_data = np.where(mask, self.data, 0.0)
+        a = self._node
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(g * mask)
+            a.accumulate(g * mask)
 
         return self._make(out_data, (self,), backward, "relu")
 
@@ -513,12 +612,14 @@ class Tensor:
         other = self._coerce(other)
         out_data = np.maximum(self.data, other.data)
         take_self = self.data >= other.data
+        a, b = self._node, other._node
+        a_shape, b_shape = self.shape, other.shape
 
         def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(unbroadcast(g * take_self, self.shape))
-            if other.requires_grad:
-                other._accumulate(unbroadcast(g * ~take_self, other.shape))
+            if a is not None:
+                a.accumulate(unbroadcast(g * take_self, a_shape))
+            if b is not None:
+                b.accumulate(unbroadcast(g * ~take_self, b_shape))
 
         return self._make(out_data, (self, other), backward, "maximum")
 
@@ -527,16 +628,16 @@ class Tensor:
     # ------------------------------------------------------------------ #
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
-        in_shape = self.shape
+        a, in_shape, dtype = self._node, self.shape, self.data.dtype
 
         def backward(g: np.ndarray) -> None:
             gg = g
             if not keepdims and axis is not None:
                 axes = axis if isinstance(axis, tuple) else (axis,)
-                axes = tuple(a % len(in_shape) for a in axes)
-                for a in sorted(axes):
-                    gg = np.expand_dims(gg, a)
-            self._accumulate(np.broadcast_to(gg, in_shape).astype(self.data.dtype))
+                axes = tuple(i % len(in_shape) for i in axes)
+                for i in sorted(axes):
+                    gg = np.expand_dims(gg, i)
+            a.accumulate(np.broadcast_to(gg, in_shape).astype(dtype))
 
         return self._make(out_data, (self,), backward, "sum")
 
@@ -556,17 +657,19 @@ class Tensor:
         # The counts take the data's dtype: an int64 divisor would promote
         # a float32 gradient to float64.
         counts = mask.sum(axis=axis, keepdims=True, dtype=self.data.dtype)
+        a, in_shape = self._node, self.shape
+        ndim = len(in_shape)
 
         def backward(g: np.ndarray) -> None:
             gg = g
             if not keepdims and axis is not None:
                 axes = axis if isinstance(axis, tuple) else (axis,)
-                axes = tuple(a % self.ndim for a in axes)
-                for a in sorted(axes):
-                    gg = np.expand_dims(gg, a)
+                axes = tuple(i % ndim for i in axes)
+                for i in sorted(axes):
+                    gg = np.expand_dims(gg, i)
             elif not keepdims and axis is None:
-                gg = np.asarray(g).reshape((1,) * self.ndim)
-            self._accumulate(np.broadcast_to(gg, self.shape) * mask / counts)
+                gg = np.asarray(g).reshape((1,) * ndim)
+            a.accumulate(np.broadcast_to(gg, in_shape) * mask / counts)
 
         return self._make(out_data, (self,), backward, "max")
 
@@ -581,16 +684,16 @@ class Tensor:
         return self.data.argmin(axis=axis)
 
     # ------------------------------------------------------------------ #
-    # shape manipulation
+    # shape manipulation: the closures keep shapes and indices, no data
     # ------------------------------------------------------------------ #
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         out_data = self.data.reshape(shape)
-        in_shape = self.shape
+        a, in_shape = self._node, self.shape
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(g.reshape(in_shape))
+            a.accumulate(g.reshape(in_shape))
 
         return self._make(out_data, (self,), backward, "reshape")
 
@@ -601,9 +704,10 @@ class Tensor:
             axes = tuple(reversed(range(self.ndim)))
         out_data = self.data.transpose(axes)
         inverse = np.argsort(axes)
+        a = self._node
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(g.transpose(inverse))
+            a.accumulate(g.transpose(inverse))
 
         return self._make(out_data, (self,), backward, "transpose")
 
@@ -614,24 +718,25 @@ class Tensor:
 
     def expand_dims(self, axis: int) -> "Tensor":
         out_data = np.expand_dims(self.data, axis)
+        a = self._node
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(np.squeeze(g, axis=axis))
+            a.accumulate(np.squeeze(g, axis=axis))
 
         return self._make(out_data, (self,), backward, "expand_dims")
 
     def squeeze(self, axis: int) -> "Tensor":
         out_data = np.squeeze(self.data, axis=axis)
+        a = self._node
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(np.expand_dims(g, axis))
+            a.accumulate(np.expand_dims(g, axis))
 
         return self._make(out_data, (self,), backward, "squeeze")
 
     def __getitem__(self, index) -> "Tensor":
         out_data = self.data[index]
-        in_shape = self.shape
-        dtype = self.data.dtype
+        a, in_shape, dtype = self._node, self.shape, self.data.dtype
         basic = _is_basic_index(index)
 
         def backward(g: np.ndarray) -> None:
@@ -643,7 +748,7 @@ class Tensor:
                 full[index] += g
             else:
                 _scatter_add(full, index, g)
-            self._accumulate(full)
+            a.accumulate(full)
 
         return self._make(out_data, (self,), backward, "getitem")
 
@@ -657,21 +762,22 @@ class Tensor:
         out_data = np.pad(self.data, pairs)
         slices = tuple(slice(before, before + n)
                        for (before, _), n in zip(pairs, self.shape))
+        a = self._node
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(g[slices])
+            a.accumulate(g[slices])
 
         return self._make(out_data, (self,), backward, "pad")
 
     def repeat(self, repeats: int, axis: int) -> "Tensor":
         """Tile along ``axis`` (numpy.repeat with scalar repeats)."""
         out_data = np.repeat(self.data, repeats, axis=axis)
-        n = self.shape[axis]
+        a, n = self._node, self.shape[axis]
 
         def backward(g: np.ndarray) -> None:
             new_shape = list(g.shape)
             new_shape[axis:axis + 1] = [n, repeats]
-            self._accumulate(g.reshape(new_shape).sum(axis=axis + 1))
+            a.accumulate(g.reshape(new_shape).sum(axis=axis + 1))
 
         return self._make(out_data, (self,), backward, "repeat")
 

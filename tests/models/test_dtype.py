@@ -15,6 +15,7 @@ import pytest
 from repro import PAPER_MODELS, create_model
 from repro.core import TrainingConfig, predict
 from repro.nn import Tensor
+from repro.nn.tensor import Node
 from repro.train import Callback, Engine, default_callbacks
 
 FLOAT32 = np.dtype(np.float32)
@@ -36,7 +37,7 @@ class CaptureOptimizer(Callback):
 @pytest.mark.parametrize("name", PAPER_MODELS)
 def test_engine_step_stays_float32(name, ci_dataset, monkeypatch):
     nodes, handed, losses = [], [], []
-    make, accumulate = Tensor._make, Tensor._accumulate
+    make, accumulate = Tensor._make, Node.accumulate
 
     def spy_make(data, parents, backward, op):
         nodes.append((op, data.dtype))
@@ -54,7 +55,7 @@ def test_engine_step_stays_float32(name, ci_dataset, monkeypatch):
         return losses[-1]
 
     monkeypatch.setattr(Tensor, "_make", staticmethod(spy_make))
-    monkeypatch.setattr(Tensor, "_accumulate", spy_accumulate)
+    monkeypatch.setattr(Node, "accumulate", spy_accumulate)
     monkeypatch.setattr(model, "training_loss", spy_loss)
     config = TrainingConfig(epochs=1, batch_size=32, max_batches_per_epoch=1)
     capture = CaptureOptimizer()

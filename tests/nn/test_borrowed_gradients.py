@@ -1,6 +1,6 @@
 """Interior nodes borrow their first gradient; nothing aliases wrongly.
 
-``Tensor._accumulate`` stores an interior node's first contribution
+``Node.accumulate`` stores an interior node's first contribution
 without a copy when it is a C-contiguous array of the node's dtype.  These
 tests pin the rules that make that safe: a borrowed buffer is never
 written, a second contribution gets a fresh buffer, leaves always copy,
@@ -108,7 +108,7 @@ def test_transposed_gradient_is_copied():
 def test_stride_zero_gradient_is_copied():
     h = Tensor(rng.normal(size=(3, 4)), requires_grad=True) * 1.0
     g = np.broadcast_to(rng.normal(size=(1, 4)), (3, 4))
-    h._accumulate(g)
+    h._node.accumulate(g)
     assert h.grad.flags.writeable
     assert not np.shares_memory(h.grad, g)
     np.testing.assert_array_equal(h.grad, g)
@@ -117,6 +117,6 @@ def test_stride_zero_gradient_is_copied():
 def test_wrong_dtype_gradient_is_copied_to_the_node_dtype():
     h = Tensor(rng.normal(size=(4,)), requires_grad=True) * 1.0
     g = np.ones(4, dtype=np.float32)
-    h._accumulate(g)
+    h._node.accumulate(g)
     assert h.grad.dtype == np.float64
     assert not np.shares_memory(h.grad, g)

@@ -23,6 +23,7 @@ from hypothesis.extra.numpy import arrays
 from repro import PAPER_MODELS, create_model
 from repro.models.graph_conv import identity_flags
 from repro.nn import Tensor, functional as F, no_grad, reference
+from repro.nn.tensor import Node
 from repro.nn.gradcheck import check_gradients
 from repro.nn.losses import masked_mae
 
@@ -231,16 +232,16 @@ def test_cases_cover_every_op():
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_float32_stays_float32(name, monkeypatch):
-    """Every array the op returns or hands to ``_accumulate`` is float32
+    """Every array the op returns or hands to ``Node.accumulate`` is float32
     (a leaf's ``.grad`` would hide an upcast: it casts to the leaf dtype)."""
     handed = []
-    accumulate = Tensor._accumulate
+    accumulate = Node.accumulate
 
     def spy(self, grad):
         handed.append(np.asarray(grad).dtype)
         accumulate(self, grad)
 
-    monkeypatch.setattr(Tensor, "_accumulate", spy)
+    monkeypatch.setattr(Node, "accumulate", spy)
     op, shapes = CASES[name]
     tensors = [Tensor(a, requires_grad=True)
                for a in operands(shapes, np.float32)]

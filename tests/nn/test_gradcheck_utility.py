@@ -29,9 +29,10 @@ class TestCheckGradients:
 
         def broken(a: Tensor) -> Tensor:
             data = a.data * 3.0
+            node = a._node
 
             def backward(g):
-                a._accumulate(g * 2.0)           # wrong: should be 3.0
+                node.accumulate(g * 2.0)         # wrong: should be 3.0
 
             return Tensor._make(data, (a,), backward, "broken")
 
