@@ -29,6 +29,10 @@ __all__ = [
 #: Score added where an attention mask is False (excluded from the softmax).
 MASKED_SCORE = -1e9
 
+#: Bytes of attention weights computed at once: :func:`attention` works
+#: through its first leading axis in chunks of at most this size.
+ATTENTION_CHUNK_BYTES = 1 << 20
+
 
 def _parent_nodes(x: Tensor, weight: Tensor, bias: Tensor | None):
     """``(x, weight, bias)`` nodes of a layer op, plus the bias shape; a
@@ -312,50 +316,138 @@ def gru_update(u: Tensor, h: Tensor, c: Tensor) -> Tensor:
     return Tensor._make(out_data, (u, h, c), backward, "gru_update")
 
 
+def _attention_weights(q: np.ndarray, k: np.ndarray, mask: np.ndarray | None,
+                       scale: float, top: np.ndarray | None = None,
+                       total: np.ndarray | None = None):
+    """``(weights, top, total)``: ``softmax(q kᵀ·scale [+ mask])`` of one
+    chunk, with the row max and row sum it was normalised by.  Given the
+    ``top`` and ``total`` a forward returned, the same numpy calls rebuild
+    that forward's weights bitwise."""
+    weights = q @ np.swapaxes(k, -1, -2)                  # (..., Lq, Lk)
+    weights *= scale
+    if mask is not None:
+        kind = weights.dtype.type
+        weights += np.where(mask, kind(0.0), kind(MASKED_SCORE))
+    if top is None:
+        top = _row_max(weights)
+    weights -= top
+    np.exp(weights, out=weights)
+    if total is None:
+        total = weights.sum(axis=-1, keepdims=True)
+    weights /= total
+    return weights, top, total
+
+
+def _row_max(scores: np.ndarray) -> np.ndarray:
+    """``scores.max(axis=-1, keepdims=True)``, bitwise (NaN included), as
+    one ``np.maximum`` per column: a reduce over a short last axis pays a
+    fixed cost for every row."""
+    top = scores[..., :1].copy()
+    for column in range(1, scores.shape[-1]):
+        np.maximum(top, scores[..., column:column + 1], out=top)
+    return top
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor,
               mask: np.ndarray | None = None) -> Tensor:
     """``softmax(q kᵀ/√d [+ mask]) v`` over the last two axes.
 
     ``q``: (..., L_q, d), ``k``: (..., L_k, d), ``v``: (..., L_k, d_v).
     ``mask`` is a boolean array broadcastable to the score shape; ``False``
-    entries get :data:`MASKED_SCORE` and so drop out of the softmax.  The
-    scores are scaled, masked and normalised in place, and the closure
-    keeps only the attention weights beside ``q``, ``k`` and ``v``.
+    entries get :data:`MASKED_SCORE` and so drop out of the softmax.
+
+    The work runs over the first leading axis in chunks whose weights take
+    at most :data:`ATTENTION_CHUNK_BYTES` (one index at least).  Each
+    index is an independent GEMM and row softmax, so the chunking changes
+    no bit.  The closure keeps ``q``, ``k``, ``v`` and each chunk's row
+    max and row sum, of shape ``(..., L_q, 1)``; backward rebuilds the
+    weights one chunk at a time with the forward's numpy calls, so no
+    ``(..., L_q, L_k)`` array lives between forward and backward.
     """
     # A Python float takes the scores' dtype; an np.float64 would upcast.
     scale = float(1.0 / np.sqrt(q.shape[-1]))
-    weights = q.data @ np.swapaxes(k.data, -1, -2)          # (..., Lq, Lk)
-    weights *= scale
-    if mask is not None:
-        kind = weights.dtype.type
-        weights += np.where(mask, kind(0.0), kind(MASKED_SCORE))
-    weights -= weights.max(axis=-1, keepdims=True)
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=-1, keepdims=True)
-    out_data = weights @ v.data
+    q_data, k_data, v_data = q.data, k.data, v.data
+    mask = None if mask is None else np.asarray(mask)
+    weights_dtype = np.result_type(q_data, k_data)
+    lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
+    rank = len(lead) + 2
+    count = lead[0] if lead else 1
+    row_bytes = (weights_dtype.itemsize * q.shape[-2] * k.shape[-2]
+                 * int(np.prod(lead[1:])))
+    step = max(1, ATTENTION_CHUNK_BYTES // max(1, row_bytes))
+    chunks = [(start, min(start + step, count))
+              for start in range(0, count, step)]
+
+    def rows(a, start, stop):
+        """``a``'s part of the chunk; all of it when ``a`` does not run
+        along the chunked axis (broadcast, or of lower rank)."""
+        if a is None or count == 1 or a.ndim < rank or a.shape[0] == 1:
+            return a
+        return a[start:stop]
+
+    out_data = np.empty(lead + (q.shape[-2], v.shape[-1]),
+                        np.result_type(weights_dtype, v_data))
     q_node, k_node, v_node = q._node, k._node, v._node
+    saved = is_grad_enabled() and (q_node is not None or k_node is not None
+                                   or v_node is not None)
+    tops, totals = [], []
+    for start, stop in chunks:
+        weights, top, total = _attention_weights(
+            rows(q_data, start, stop), rows(k_data, start, stop),
+            rows(mask, start, stop), scale)
+        np.matmul(weights, rows(v_data, start, stop),
+                  out=rows(out_data, start, stop))
+        del weights                 # before the next chunk's are built
+        if saved:
+            tops.append(top)
+            totals.append(total)
     q_shape, v_shape = q.shape, v.shape
     k_swapped = (*k.shape[:-2], k.shape[-1], k.shape[-2])
-    # d scores reads v; then q's gradient reads k and k's reads q.
-    v_data = v.data if q_node is not None or k_node is not None else None
-    k_data = k.data if q_node is not None else None
-    q_data = q.data if k_node is not None else None
+    # d scores reads v; the weights are rebuilt from q and k.
+    if q_node is None and k_node is None:
+        v_data = None
 
     def backward(g: np.ndarray) -> None:
+        gq = gk = gv = None
         if v_node is not None:
-            v_node.accumulate(unbroadcast(np.swapaxes(weights, -1, -2) @ g,
-                                          v_shape))
-        if q_node is None and k_node is None:
-            return
-        gs = g @ np.swapaxes(v_data, -1, -2)                # d weights
-        dot = (gs * weights).sum(axis=-1, keepdims=True)
-        gs -= dot
-        gs *= weights                                       # d scores
-        gs *= scale
-        if q_node is not None:
-            q_node.accumulate(unbroadcast(gs @ k_data, q_shape))
-        if k_node is not None:
-            gk = np.swapaxes(q_data, -1, -2) @ gs           # (..., d, Lk)
+            gv = np.empty(lead + v_shape[-2:],
+                          np.result_type(weights_dtype, g))
+        if q_node is not None or k_node is not None:
+            gs_dtype = np.result_type(g, v_data)
+            if q_node is not None:
+                gq = np.empty(lead + q_shape[-2:],
+                              np.result_type(gs_dtype, k_data))
+            if k_node is not None:
+                gk = np.empty(lead + k_swapped[-2:],           # (..., d, Lk)
+                              np.result_type(q_data, gs_dtype))
+        for (start, stop), top, total in zip(chunks, tops, totals):
+            q_part = rows(q_data, start, stop)
+            k_part = rows(k_data, start, stop)
+            g_part = rows(g, start, stop)
+            weights, _, _ = _attention_weights(
+                q_part, k_part, rows(mask, start, stop), scale, top, total)
+            if gv is not None:
+                np.matmul(np.swapaxes(weights, -1, -2), g_part,
+                          out=rows(gv, start, stop))
+            if gq is None and gk is None:
+                del weights
+                continue
+            gs = g_part @ np.swapaxes(rows(v_data, start, stop), -1, -2)
+            dot = (gs * weights).sum(axis=-1, keepdims=True)
+            gs -= dot
+            gs *= weights                                   # d scores
+            gs *= scale
+            if gq is not None:
+                np.matmul(gs, k_part, out=rows(gq, start, stop))
+            if gk is not None:
+                np.matmul(np.swapaxes(q_part, -1, -2), gs,
+                          out=rows(gk, start, stop))
+            del weights, gs
+        if gv is not None:
+            v_node.accumulate(unbroadcast(gv, v_shape))
+        if gq is not None:
+            q_node.accumulate(unbroadcast(gq, q_shape))
+        if gk is not None:
             k_node.accumulate(
                 np.swapaxes(unbroadcast(gk, k_swapped), -1, -2))
 

@@ -136,7 +136,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor,
     """``softmax(q kᵀ/√d [+ mask]) v`` as separate nodes."""
     scores = q.matmul(k.swapaxes(-1, -2)) * (1.0 / np.sqrt(q.shape[-1]))
     if mask is not None:
-        scores = scores + Tensor(np.where(mask, 0.0, functional.MASKED_SCORE))
+        scores = scores + Tensor(np.where(mask, 0.0, functional.MASKED_SCORE),
+                                 dtype=scores.dtype)
     return functional.softmax(scores, axis=-1).matmul(v)
 
 

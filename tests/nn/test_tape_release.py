@@ -7,12 +7,13 @@ no closure reads is freed once the caller drops it, and under
 soon as it has run.  The checks use weak references to the arrays.
 """
 
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from repro.nn import Parameter, Tensor, functional as F
+from repro.nn import Parameter, Tensor, functional as F, no_grad
 
 rng = np.random.default_rng(5)
 
@@ -111,3 +112,52 @@ def test_kept_graph_replays_and_a_freed_graph_refuses():
         loss.backward()
     with pytest.raises(RuntimeError, match="freed graph"):
         hidden.backward(np.ones(hidden.shape))
+
+
+def _closure_arrays(closure):
+    """Every array a closure's cells hold, directly or in a list/tuple."""
+    found = []
+    for cell in closure.__closure__ or ():
+        pending = [cell.cell_contents]
+        while pending:
+            item = pending.pop()
+            if isinstance(item, np.ndarray):
+                found.append(item)
+            elif isinstance(item, (list, tuple)):
+                pending.extend(item)
+    return found
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_attention_keeps_no_weights(masked):
+    length_q, length_k = 3, 5
+    q = Tensor(rng.normal(size=(4, 2, length_q, 6)), requires_grad=True)
+    k = Tensor(rng.normal(size=(4, 2, length_k, 6)), requires_grad=True)
+    v = Tensor(rng.normal(size=(4, 2, length_k, 7)), requires_grad=True)
+    mask = rng.random((length_q, length_k)) > 0.3 if masked else None
+    out = F.attention(q, k, v, mask=mask)
+    saved = _closure_arrays(out._backward)
+    assert any(a.shape[-2:] == (length_q, 1) for a in saved)  # row max, sum
+    # The caller's mask is the only (L_q, L_k) array the closure may hold.
+    assert [a for a in saved if a.shape[-2:] == (length_q, length_k)
+            and a is not mask] == []
+    out.sum().backward()
+    assert q.grad is not None and k.grad is not None and v.grad is not None
+
+
+def test_attention_forward_never_holds_the_whole_weights(monkeypatch):
+    lead, length = 12, 128
+    weight_bytes = lead * length * length * 8
+    monkeypatch.setattr(F, "ATTENTION_CHUNK_BYTES", weight_bytes // 4)
+    q, k, v = (Tensor(rng.normal(size=(lead, length, 4))) for _ in range(3))
+    with no_grad():
+        tracemalloc.start()
+        try:
+            out = F.attention(q, k, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert out.shape == (lead, length, 4)
+    # Four chunks: the peak holds one chunk's weights (384 KiB), numpy's
+    # 64 KiB ufunc buffer and the output, never the whole 1.5 MiB.
+    assert peak < weight_bytes // 2
